@@ -30,8 +30,6 @@ from .engine import CocycleTrace, cocycle_identity_check, ergodic_sums
 from .observables import (centered_indicator, coboundary_of, iid_increment,
                           parse_observable)
 
-NO_CP = 1 << 62          # disables checkpointing for bulk statistics
-
 
 @dataclass
 class CriterionResult:
@@ -83,7 +81,7 @@ def _c2_triangle():
     for system, obs, reps in cases:
         for s in range(reps):
             st = sy.sample_initial(system, 100 + s)
-            tr = ergodic_sums(system, obs, st, N, checkpoint_every=NO_CP)
+            tr = ergodic_sums(system, obs, st, N, checkpoint_every=None)
             n = rng.integers(0, N + 1, size=20_000)
             p = rng.integers(0, N + 1 - n)
             whole = np.linalg.norm(tr.values[n + p], axis=1)
@@ -98,7 +96,7 @@ def _c3_telescoping_bound():
     system = sy.rotation("golden", seed=41)
     phi = coboundary_of(parse_observable("sin2pi(frac)"))
     tr = ergodic_sums(system, phi, sy.sample_initial(system, 7), 1_000_000,
-                      checkpoint_every=NO_CP)
+                      checkpoint_every=None)
     sup = float(tr.norms.max())
     return sup <= 2.0 + 1e-9, {"sup_norm": round(sup, 6)}, "sup <= 2 + 1e-9 at N=1e6"
 
@@ -127,7 +125,7 @@ def _c5_sampling_identity():
         st = ind.first_entry(system, B, sy.sample_initial(system, 3), 10_000)
         it = ind.induced_trace(system, obs, B, st, per, cap=100_000)
         full = ergodic_sums(system, obs, st, int(it.return_times[-1]),
-                            checkpoint_every=NO_CP)
+                            checkpoint_every=None)
         gap = np.abs(full.values[it.return_times] - it.values[1:]).max()
         worst = max(worst, float(gap))
     return worst <= 1e-12, {"max_gap": f"{worst:.2e}"}, "gap <= 1e-12, 1002 samples"
@@ -142,7 +140,7 @@ def _c6_min_recursion():
         for s in range(reps):
             st = sy.sample_initial(system, 200 + s)
             mp = fl.min_process(system, obs, st, 1000)
-            S = ergodic_sums(system, obs, st, 1000, checkpoint_every=NO_CP).values[:, 0]
+            S = ergodic_sums(system, obs, st, 1000, checkpoint_every=None).values[:, 0]
             direct = np.minimum.accumulate(S[1:])
             worst_gap = max(worst_gap, float(np.abs(mp.m[1:1001] - direct).max()))
             worst_res = max(worst_res, fl.decomposition_residual(system, obs, st, 1000))
@@ -161,7 +159,7 @@ def _c7_drift_rates():
     n_seeds = 100
     for s in range(n_seeds):
         tr = ergodic_sums(system, centered, sy.sample_initial(system, 300 + s),
-                          1_000_000, checkpoint_every=NO_CP)
+                          1_000_000, checkpoint_every=None)
         rep = dr.recurrence_diagnostic(tr, 0.5)
         hits += rep.verdict == "recurrent-like"
     ok = (np.all((k1 >= 0.9) & (k1 <= 1.1)) and np.abs(k2).max() <= 0.01
@@ -179,7 +177,7 @@ def _c8_gaussian_limits():
     ends = np.empty((reps, 2))
     for s in range(reps):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), n,
-                          checkpoint_every=NO_CP)
+                          checkpoint_every=None)
         ends[s] = tr.values[n]
     ends /= np.sqrt(n)
     ks = max(stats.kstest(ends[:, j], stats.norm.cdf).statistic for j in (0, 1))
@@ -210,7 +208,7 @@ def _c9_full_coverage():
     cells_seen = []
     for s in range(n_seeds):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
-                          checkpoint_every=NO_CP)
+                          checkpoint_every=None)
         h = dr.hist_from_trace(tr, mesh, [M])
         k = int((h.counts[0] > 0).sum())
         cells_seen.append(k)
@@ -230,13 +228,13 @@ def _c10_antipodal_coverage():
     terms = np.empty(n_seeds)
     for s in range(n_seeds):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
-                          checkpoint_every=NO_CP)
+                          checkpoint_every=None)
         terms[s] = tr.norms[-1]
     ladder = dr.default_m_ladder(float(np.median(terms)))
     rates = np.zeros(len(ladder))
     for s in range(n_seeds):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
-                          checkpoint_every=NO_CP)
+                          checkpoint_every=None)
         h = dr.hist_from_trace(tr, mesh, ladder)
         for i in range(len(ladder)):
             closed = dr.antipodal_closure(mesh, h.counts[i] > 0)
@@ -276,7 +274,7 @@ def _c14_sojourn_extremes():
     joint = 0
     for s in range(n_seeds):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
-                          checkpoint_every=NO_CP)
+                          checkpoint_every=None)
         ser = so.sojourn_series(tr, cone)
         joint += (ser.running_max >= 0.9) and (ser.running_min <= 0.1)
     joint_rate = joint / n_seeds
@@ -287,7 +285,7 @@ def _c14_sojourn_extremes():
     tau_walk = np.empty(reps)
     for s in range(reps):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), n,
-                          checkpoint_every=NO_CP)
+                          checkpoint_every=None)
         tau_walk[s] = so.tau(tr, n, cone)
     brown = br.tau_samples(cone, 1.0, 1e-3, reps, seed=14)
     ks = float(stats.ks_2samp(tau_walk, brown).statistic)
@@ -303,7 +301,7 @@ def _c15_ball_escape():
     vals = np.empty(n_seeds)
     for s in range(n_seeds):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
-                          checkpoint_every=NO_CP)
+                          checkpoint_every=None)
         vals[s] = so.ball_visit_frequency(tr, N, 10.0)
     rate = float((vals <= 0.05).mean())
     return rate >= 0.9, {"rate": rate, "max_freq": f"{vals.max():.4f}"}, \
@@ -317,7 +315,7 @@ def _c16_grid_vs_path():
     worst = 0.0
     for s in range(50):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), n,
-                          checkpoint_every=NO_CP)
+                          checkpoint_every=None)
         worst = max(worst, abs(so.tau(tr, n, cone) - so.tau_discrete(tr, n, cone)))
     return worst <= 0.02, {"max_diff": round(worst, 4)}, "|tau - tau_disc| <= 0.02, 50 seeds"
 

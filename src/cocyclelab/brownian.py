@@ -17,6 +17,7 @@ from .cones import Cone, HalfSpace
 from .errors import ConfigInvalid, NotPositiveDefinite
 
 _TAG = 179          # seed-space namespace for Brownian streams
+ROW_BLOCK = 1 << 16  # path steps drawn, summed and reduced at a time
 
 
 def _rng(seed):
@@ -37,10 +38,14 @@ class BrownianPath:
         return len(self.values) - 1
 
 
-def simulate(d: int, t: float, h: float, seed) -> BrownianPath:
-    """Euler path with exact N(0, h I) increments; deterministic per seed."""
+def _check_step(t: float, h: float) -> None:
     if h <= 0 or t <= 0 or h > t / 100.0:
         raise ConfigInvalid("h", "need 0 < h <= t/100")
+
+
+def simulate(d: int, t: float, h: float, seed) -> BrownianPath:
+    """Euler path with exact N(0, h I) increments; deterministic per seed."""
+    _check_step(t, h)
     steps = int(round(t / h))
     inc = _rng(seed).standard_normal((steps, d)) * np.sqrt(h)
     values = np.zeros((steps + 1, d))
@@ -58,48 +63,33 @@ def tau_samples(cone: Cone, t: float, h: float, samples: int, seed: int = 0,
                 batch: int = 10_000) -> np.ndarray:
     """Occupation fractions across independent paths.
 
-    Half-spaces project the increments onto the normal (projection of a
-    Brownian motion is a 1-D Brownian motion), so paths batch into one
-    matrix; other cones simulate d-dimensional paths one by one.
+    Batch bi of `batch` paths draws from the generator keyed (seed, bi).
+    Within a batch, whole paths are drawn, summed and reduced a few rows
+    at a time (about ROW_BLOCK path steps), so memory is bounded by the
+    row block and the output, not by the sample count. Half-spaces draw
+    1-D increments, since the projection of a Brownian motion on the
+    unit normal is a 1-D Brownian motion; other cones draw d-dimensional
+    paths, in batches of at most 2e6 path steps.
     """
+    _check_step(t, h)
     steps = int(round(t / h))
     if isinstance(cone, HalfSpace):
-        u = cone.normal / np.linalg.norm(cone.normal)
-        out = np.empty(samples)
-        done = 0
-        bi = 0
-        while done < samples:
-            m = min(batch, samples - done)
-            inc = _rng((seed, bi)).standard_normal((m, steps)) * np.sqrt(h)
-            proj = np.cumsum(inc, axis=1)
-            a0 = np.concatenate([np.zeros((m, 1)), proj[:, :-1]], axis=1)
-            a1 = proj
-            pos0 = a0 > 0.0
-            pos1 = a1 > 0.0
-            den = a0 - a1
-            t0 = a0 / np.where(den == 0.0, 1.0, den)
-            fr = np.where(pos0 & pos1, 1.0,
-                          np.where(~pos0 & ~pos1, 0.0,
-                                   np.where(pos0, t0, 1.0 - t0)))
-            out[done:done + m] = fr.mean(axis=1)
-            done += m
-            bi += 1
-        return out
-    d = cone.d
-    # cap segments per kernel call: crossing kernels expand ~10x per segment
-    batch = max(1, min(batch, 2_000_000 // steps))
+        kernel, d = HalfSpace([1.0]), 1
+    else:
+        kernel, d = cone, cone.d
+        # the batch size decides which (seed, bi) generator draws each path
+        batch = max(1, min(batch, 2_000_000 // steps))
+    rows = max(1, ROW_BLOCK // steps)
     out = np.empty(samples)
-    done = 0
-    bi = 0
-    while done < samples:
-        m = min(batch, samples - done)
-        inc = _rng((seed, bi)).standard_normal((m, steps, d)) * np.sqrt(h)
-        paths = np.concatenate([np.zeros((m, 1, d)), np.cumsum(inc, axis=1)], axis=1)
-        fr = cone.segment_fraction(paths[:, :-1].reshape(-1, d),
-                                   paths[:, 1:].reshape(-1, d))
-        out[done:done + m] = fr.reshape(m, steps).mean(axis=1)
-        done += m
-        bi += 1
+    for bi, lo in enumerate(range(0, samples, batch)):
+        rng = _rng((seed, bi))
+        end = min(lo + batch, samples)
+        for r0 in range(lo, end, rows):
+            m = min(rows, end - r0)
+            V = np.cumsum(rng.standard_normal((m, steps, d)) * np.sqrt(h), axis=1)
+            P0 = np.concatenate([np.zeros((m, 1, d)), V[:, :-1]], axis=1)
+            fr = kernel.segment_fraction(P0.reshape(-1, d), V.reshape(-1, d))
+            out[r0:r0 + m] = fr.reshape(m, steps).mean(axis=1)
     return out
 
 

@@ -14,7 +14,6 @@ runtime errors such as a return-time cap overflow.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -39,7 +38,7 @@ from .observables import parse_observable
 
 OPERATIONS = ("trace", "induce", "directions", "filling", "sojourn",
               "brownian", "accept")
-NO_CP = 1 << 62
+WRITE_ROWS = 1 << 16       # CSV rows formatted per write
 
 
 # ---------------------------------------------------------------- config
@@ -99,20 +98,28 @@ def _require(cfg: dict, key: str):
 
 # ---------------------------------------------------------------- output
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+def _write_csv(path: str, header, blocks) -> int:
+    """Write the header and every block of columns; return the row count.
 
-
-def _write_csv(path: str, header, rows) -> int:
+    A block is a list of columns: 1-D numpy arrays of one length, or
+    constants (ints and strings) repeated on every row. Float columns
+    print as %.17g and integer columns as %d; lines end in \r\n. No
+    field needs quoting: fields are numbers and hex fingerprints.
+    """
     n = 0
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-            n += 1
+        f.write(",".join(header) + "\r\n")
+        for block in blocks:
+            arrays = [c for c in block if isinstance(c, np.ndarray)]
+            fields = [("%.17g" if c.dtype.kind == "f" else "%d")
+                      if isinstance(c, np.ndarray) else str(c).replace("%", "%%")
+                      for c in block]
+            fmt = ",".join(fields) + "\r\n"
+            rows = len(arrays[0])
+            for lo in range(0, rows, WRITE_ROWS):
+                cols = [a[lo:lo + WRITE_ROWS].tolist() for a in arrays]
+                f.write("".join(map(fmt.__mod__, zip(*cols))))
+            n += rows
     return n
 
 
@@ -173,9 +180,8 @@ def _op_trace(cfg: dict, fp: str) -> int:
                       checkpoint_every=ce)
     csv_path, sum_path = _resolve_out(cfg, "trace.csv")
     header = ["seed", "fingerprint", "n"] + [f"phi_{j}" for j in range(obs.d)] + ["norm"]
-    rows = ((seed, fp, n, *map(float, tr.values[n]), float(tr.norms[n]))
-            for n in range(1, N + 1))
-    n_rows = _write_csv(csv_path, header, rows)
+    cols = [seed, fp, np.arange(1, N + 1), *tr.values[1:].T, tr.norms[1:]]
+    n_rows = _write_csv(csv_path, header, [cols])
     _write_summary(sum_path, _base_summary(
         cfg, fp, rows=n_rows, d=obs.d, checkpoint_every=ce,
         final_norm=float(tr.norms[N])))
@@ -195,9 +201,9 @@ def _op_induce(cfg: dict, fp: str) -> int:
     csv_path, sum_path = _resolve_out(cfg, "induce.csv")
     header = ["seed", "fingerprint", "n", "R_n"] + \
         [f"phiB_{j}" for j in range(obs.d)]
-    rows = ((seed, fp, n, int(it.return_times[n - 1]), *map(float, it.values[n]))
-            for n in range(1, n_returns + 1))
-    n_rows = _write_csv(csv_path, header, rows)
+    cols = [seed, fp, np.arange(1, n_returns + 1), it.return_times[:n_returns],
+            *it.values[1:n_returns + 1].T]
+    n_rows = _write_csv(csv_path, header, [cols])
     _write_summary(sum_path, _base_summary(
         cfg, fp, rows=n_rows, set=set_text, cap=cap,
         measure=B.measure, mean_return_time=float(it.return_times[-1]) / n_returns))
@@ -208,7 +214,7 @@ def _dir_task(payload: dict):
     system = sy.parse_system(payload["system"])
     obs = parse_observable(payload["observable"])
     tr = ergodic_sums(system, obs, sy.sample_initial(system, payload["seed"]),
-                      payload["N"], checkpoint_every=NO_CP)
+                      payload["N"], checkpoint_every=None)
     mesh = dr.make_mesh(obs.d)
     h = dr.hist_from_trace(tr, mesh, payload["thresholds"])
     verdict = (dr.recurrence_diagnostic(tr, payload["epsilon"]).verdict
@@ -257,14 +263,11 @@ def _op_directions(cfg: dict, fp: str) -> int:
     header = ["seed", "fingerprint", "threshold", "cell"] + \
         [f"angle_{j}" for j in range(angles.shape[1])] + ["count"]
 
-    def rows():
-        for s, (counts, _) in zip(seeds, results):
-            for i, t in enumerate(thresholds):
-                for k in range(mesh.K):
-                    yield (s, fp, float(t), k, *map(float, angles[k]),
-                           int(counts[i, k]))
-
-    n_rows = _write_csv(csv_path, header, rows())
+    T = len(thresholds)
+    grid = [np.repeat(np.asarray(thresholds), mesh.K), np.tile(np.arange(mesh.K), T),
+            *np.tile(angles, (T, 1)).T]
+    n_rows = _write_csv(csv_path, header, [[s, fp, *grid, counts.ravel()]
+                                           for s, (counts, _) in zip(seeds, results)])
     verdicts = [v for _, v in results]
     _write_summary(sum_path, _base_summary(
         cfg, fp, rows=n_rows, mesh={"d": mesh.d, "K": mesh.K},
@@ -281,17 +284,12 @@ def _filling_task(payload: dict):
     obs = parse_observable(payload["observable"])
     st = sy.sample_initial(system, payload["seed"])
     N = payload["N"]
-    S = ergodic_sums(system, obs, st, N, checkpoint_every=NO_CP).values[:, 0]
-    m = np.minimum.accumulate(S[1:])
+    # the N+1-step trace behind mp holds the N-step trace as an exact prefix
+    mp = fl.min_process(system, obs, st, N)
+    m = mp.m[1:N + 1]
     # independent route: m_{n+1} = S_1 + min(m_n o T, 0)
-    m_rec = np.empty(N)
-    m_rec[0] = S[1]
-    if N > 1:
-        m_shift = np.minimum.accumulate(S[2:] - S[1])
-        m_rec[1:] = S[1] + np.minimum(m_shift, 0.0)
-    resid = np.abs(m - m_rec)
-    final = fl.decomposition_residual(system, obs, st, N)
-    return m, resid, final
+    m_rec = np.concatenate([[mp.phi0], mp.phi0 + np.minimum(mp.m_shift[1:N], 0.0)])
+    return m, np.abs(m - m_rec), mp.decomposition_residual()
 
 
 def _op_filling(cfg: dict, fp: str) -> int:
@@ -306,12 +304,9 @@ def _op_filling(cfg: dict, fp: str) -> int:
     csv_path, sum_path = _resolve_out(cfg, "filling.csv")
     header = ["seed", "fingerprint", "n", "m_n", "residual"]
 
-    def rows():
-        for s, (m, resid, _) in zip(seeds, results):
-            for n in range(1, N + 1):
-                yield (s, fp, n, float(m[n - 1]), float(resid[n - 1]))
-
-    n_rows = _write_csv(csv_path, header, rows())
+    n = np.arange(1, N + 1)
+    n_rows = _write_csv(csv_path, header, [[s, fp, n, m, resid]
+                                           for s, (m, resid, _) in zip(seeds, results)])
     _write_summary(sum_path, _base_summary(
         cfg, fp, rows=n_rows,
         max_route_residual=float(max(r.max() for _, r, _ in results)),
@@ -324,7 +319,7 @@ def _sojourn_task(payload: dict):
     obs = parse_observable(payload["observable"])
     cone = parse_cone(payload["cone"], obs.d)
     tr = ergodic_sums(system, obs, sy.sample_initial(system, payload["seed"]),
-                      payload["N"], checkpoint_every=NO_CP)
+                      payload["N"], checkpoint_every=None)
     ser = so.sojourn_series(tr, cone, grid=payload["grid"])
     ball = [so.ball_visit_frequency(tr, int(n), payload["M"]) for n in ser.ns]
     return ser.ns, ser.tau, ser.tau_disc, np.asarray(ball)
@@ -347,13 +342,7 @@ def _op_sojourn(cfg: dict, fp: str) -> int:
     csv_path, sum_path = _resolve_out(cfg, "sojourn.csv")
     header = ["seed", "fingerprint", "n", "tau", "tau_discrete", "ball_freq"]
 
-    def rows():
-        for s, (ns, tau, taud, ball) in zip(seeds, results):
-            for i in range(len(ns)):
-                yield (s, fp, int(ns[i]), float(tau[i]), float(taud[i]),
-                       float(ball[i]))
-
-    n_rows = _write_csv(csv_path, header, rows())
+    n_rows = _write_csv(csv_path, header, [[s, fp, *r] for s, r in zip(seeds, results)])
     hi = [float(t.max()) for _, t, _, _ in results]
     lo = [float(t.min()) for _, t, _, _ in results]
     _write_summary(sum_path, _base_summary(
@@ -373,8 +362,8 @@ def _op_brownian(cfg: dict, fp: str) -> int:
     cone = parse_cone(cone_text)
     taus = br.tau_samples(cone, t, h, samples, seed=seed)
     csv_path, sum_path = _resolve_out(cfg, "brownian.csv")
-    rows = ((seed, fp, i, float(taus[i])) for i in range(samples))
-    n_rows = _write_csv(csv_path, ["seed", "fingerprint", "i", "tau"], rows)
+    n_rows = _write_csv(csv_path, ["seed", "fingerprint", "i", "tau"],
+                        [[seed, fp, np.arange(samples), taus]])
     _write_summary(sum_path, _base_summary(
         cfg, fp, rows=n_rows, cone=cone_text, t=t, h=h, samples=samples,
         mean_tau=float(taus.mean())))

@@ -67,15 +67,17 @@ class HalfSpace(Cone):
         return np.asarray(V) @ self.normal > 0.0
 
     def segment_fraction(self, P0, P1):
-        a0 = P0 @ self.normal
-        a1 = P1 @ self.normal
+        # np.dot gives the bytes @ gives, and is several times faster when d == 1
+        a0 = np.dot(P0, self.normal)
+        a1 = np.dot(P1, self.normal)
         pos0 = a0 > 0.0
         pos1 = a1 > 0.0
-        den = a0 - a1
-        t0 = a0 / np.where(den == 0.0, 1.0, den)
-        return np.where(pos0 & pos1, 1.0,
-                        np.where(~pos0 & ~pos1, 0.0,
-                                 np.where(pos0, t0, 1.0 - t0)))
+        fr = pos1.astype(np.float64)
+        # only segments whose ends differ in sign cross; there a0 != a1
+        i = np.flatnonzero(pos0 != pos1)
+        t0 = a0[i] / (a0[i] - a1[i])
+        fr[i] = np.where(pos0[i], t0, 1.0 - t0)
+        return fr
 
 
 class Orthant(Cone):

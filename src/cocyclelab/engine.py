@@ -7,7 +7,8 @@ float64, which keeps indicator-heavy sums well inside the 1e-9
 identity tolerances at N = 10^6.
 
 Checkpoints record the orbit state every `checkpoint_every` steps so a
-second pass can restart mid-orbit without O(N) storage per restart.
+second pass can restart mid-orbit without O(N) storage per restart;
+`checkpoint_every=None` stores none, for bulk statistics.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ class CocycleTrace:
     N: int
     values: np.ndarray                     # (N+1, d), values[n] = S_n, values[0] = 0
     checkpoints: dict = field(default_factory=dict)   # step -> SystemState
-    checkpoint_every: int = 1024
+    checkpoint_every: int | None = 1024
     direction: int = 1                     # -1 for reverse traces
     _norms: np.ndarray | None = field(default=None, repr=False)
 
@@ -55,8 +56,9 @@ class CocycleTrace:
             return self.state0
         st = self.checkpoints.get(self.direction * n)
         if st is None:
-            raise MissingCheckpoint(
-                f"step {n} not on the checkpoint grid (every {self.checkpoint_every})")
+            grid = (f"every {self.checkpoint_every}" if self.checkpoint_every
+                    else "none stored")
+            raise MissingCheckpoint(f"step {n} not on the checkpoint grid ({grid})")
         return st
 
 
@@ -75,8 +77,15 @@ def _checkpoint_state(system: SystemSpec, state0: SystemState, data, k: int) -> 
     return replace(state0, index=state0.index + k, coords=coords)
 
 
+def _grid(lo: int, hi: int, every: int | None) -> range:
+    # multiples of `every` in [lo, hi]; none when every is None
+    if every is None:
+        return range(0)
+    return range(-(-lo // every) * every, hi + 1, every)
+
+
 def ergodic_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
-                 N: int, checkpoint_every: int = 1024) -> CocycleTrace:
+                 N: int, checkpoint_every: int | None = 1024) -> CocycleTrace:
     """Trace of S_n = sum_{k<n} phi(T^k x) for n = 0..N."""
     obs.validate_for(system)
     values = np.zeros((N + 1, obs.d))
@@ -89,8 +98,7 @@ def ergodic_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
         data = orbit_span(system, state0, off, hi + ext)
         phi = obs.evaluate(data, off, hi)
         values[off + 1:hi + 2], carry = _accumulate(phi, carry)
-        first_cp = -((-(off + 1)) // checkpoint_every) * checkpoint_every
-        for k in range(first_cp, hi + 2, checkpoint_every):
+        for k in _grid(off + 1, hi + 1, checkpoint_every):
             checkpoints[k] = _checkpoint_state(system, state0, data, k)
         off = hi + 1
     return CocycleTrace(system, obs, state0, N, values, checkpoints, checkpoint_every)
@@ -123,7 +131,7 @@ def skew_step(system: SystemSpec, obs: ObservableSpec,
 
 
 def reverse_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
-                 N: int, checkpoint_every: int = 1024) -> CocycleTrace:
+                 N: int, checkpoint_every: int | None = 1024) -> CocycleTrace:
     """Reverse trace R_n = -sum_{k=1..n} phi(T^{-k} x) for n = 0..N.
 
     Satisfies R_n(T^n x) = -S_n(x). Invertible systems only.
@@ -140,8 +148,7 @@ def reverse_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
         data = orbit_span(system, state0, -m, -done - 1 + obs.lookahead)
         phi = obs.evaluate(data, -m, -done - 1)        # rows: k = m .. done+1
         values[done + 1:m + 1], carry = _accumulate(-phi[::-1], carry)
-        first_cp = -((-(done + 1)) // checkpoint_every) * checkpoint_every
-        for k in range(first_cp, m + 1, checkpoint_every):
+        for k in _grid(done + 1, m, checkpoint_every):
             checkpoints[-k] = _checkpoint_state(system, state0, data, -k)
         done = m
     return CocycleTrace(system, obs, state0, N, values, checkpoints,

@@ -47,12 +47,18 @@ class MinProcess:
     def m_minus(self) -> np.ndarray:
         return np.maximum(-self.m, 0.0)
 
+    def decomposition_residual(self) -> float:
+        """|phi(x) - [m_N^-(Tx) - m_{N+1}^-(x) + m_{N+1}^+(x)]|; ~0 by algebra."""
+        m_shift_minus = max(-self.m_shift[self.N], 0.0)
+        m_next = self.phi0 - m_shift_minus                   # recursion, exact route
+        return abs(self.phi0 - (m_shift_minus - max(-m_next, 0.0) + max(m_next, 0.0)))
+
 
 def min_process(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
                 N: int) -> MinProcess:
     """Min process through n = N+1, cross-checked by two routes."""
     _require_scalar(obs)
-    S = ergodic_sums(system, obs, state0, N + 1, checkpoint_every=1 << 62).values[:, 0]
+    S = ergodic_sums(system, obs, state0, N + 1, checkpoint_every=None).values[:, 0]
     m = np.empty(N + 2)
     m[0] = np.nan
     m[1:] = np.minimum.accumulate(S[1:])
@@ -70,10 +76,7 @@ def min_process(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
 def decomposition_residual(system: SystemSpec, obs: ObservableSpec,
                            state0: SystemState, N: int) -> float:
     """|phi(x) - [m_N^-(Tx) - m_{N+1}^-(x) + m_{N+1}^+(x)]|; ~0 by algebra."""
-    mp = min_process(system, obs, state0, N)
-    m_shift_minus = max(-mp.m_shift[N], 0.0)
-    m_next = mp.phi0 - m_shift_minus                     # recursion, exact route
-    return abs(mp.phi0 - (m_shift_minus - max(-m_next, 0.0) + max(m_next, 0.0)))
+    return min_process(system, obs, state0, N).decomposition_residual()
 
 
 def _dyadic_windows(N: int):
@@ -127,7 +130,7 @@ def classify_oscillation(system: SystemSpec, obs: ObservableSpec, seeds,
     labels = []
     for s in seeds:
         tr = ergodic_sums(system, obs, sample_initial(system, s), N,
-                          checkpoint_every=1 << 62)
+                          checkpoint_every=None)
         labels.append(classify_series(tr.values[:, 0], level))
     order = ["to+inf", "to-inf", "oscillates", "inconclusive"]
     verdict = max(order, key=labels.count)
@@ -145,7 +148,7 @@ def kesten_rate(system: SystemSpec, obs: ObservableSpec, seeds,
     out = np.empty(len(seeds))
     for i, s in enumerate(seeds):
         tr = ergodic_sums(system, obs, sample_initial(system, s), N,
-                          checkpoint_every=1 << 62)
+                          checkpoint_every=None)
         ratio = tr.values[1:, 0] / np.arange(1, N + 1)
         mins = [ratio[lo - 1:hi].min() for lo, hi in _dyadic_windows(N)]
         half = len(mins) // 2

@@ -1,5 +1,7 @@
 """Reference diffusion: simulation, occupation-time laws, CLT sampler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ def test_step_size_guard():
         cl.simulate(1, 1.0, 0.02, 0)   # h > t/100
     with pytest.raises(cl.ConfigInvalid):
         cl.simulate(1, 1.0, -1e-3, 0)
+    # the sampler checks the same bound, before any step count is formed
+    for t, h in [(1.0, 2.0), (1.0, 0.5), (1.0, 0.0), (-1.0, 1e-3)]:
+        for cone in (HALF_LINE, cl.AngularCone([1.0, 0.0], 0.5)):
+            with pytest.raises(cl.ConfigInvalid) as err:
+                cl.tau_samples(cone, t, h, 3)
+            assert err.value.field == "h"
 
 
 def test_tau_of_hand_path():
@@ -111,3 +119,66 @@ def test_fast_and_generic_samplers_agree():
     fast = cl.tau_samples(HALF_LINE, 1.0, 1e-2, 500, seed=6)
     generic = cl.tau_samples(Complement(Complement(HALF_LINE)), 1.0, 1e-2, 500, seed=6)
     assert np.max(np.abs(fast - generic)) <= 1e-12
+
+
+def one_shot_tau_samples(cone, t, h, samples, seed=0, batch=10_000):
+    # reference: each batch drawn, summed and reduced in one piece
+    steps = int(round(t / h))
+
+    def draw(bi, shape):
+        return np.random.default_rng((179, seed, bi)).standard_normal(shape) * np.sqrt(h)
+
+    out = np.empty(samples)
+    done = bi = 0
+    if isinstance(cone, HalfSpace):
+        while done < samples:
+            m = min(batch, samples - done)
+            a1 = np.cumsum(draw(bi, (m, steps)), axis=1)
+            a0 = np.concatenate([np.zeros((m, 1)), a1[:, :-1]], axis=1)
+            pos0, pos1 = a0 > 0.0, a1 > 0.0
+            den = a0 - a1
+            t0 = a0 / np.where(den == 0.0, 1.0, den)
+            fr = np.where(pos0 & pos1, 1.0,
+                          np.where(~pos0 & ~pos1, 0.0, np.where(pos0, t0, 1.0 - t0)))
+            out[done:done + m] = fr.mean(axis=1)
+            done += m
+            bi += 1
+        return out
+    d = cone.d
+    batch = max(1, min(batch, 2_000_000 // steps))
+    while done < samples:
+        m = min(batch, samples - done)
+        inc = draw(bi, (m, steps, d))
+        paths = np.concatenate([np.zeros((m, 1, d)), np.cumsum(inc, axis=1)], axis=1)
+        fr = cone.segment_fraction(paths[:, :-1].reshape(-1, d),
+                                   paths[:, 1:].reshape(-1, d))
+        out[done:done + m] = fr.reshape(m, steps).mean(axis=1)
+        done += m
+        bi += 1
+    return out
+
+
+@pytest.mark.parametrize("cone, h, samples, batch", [
+    (HALF_LINE, 1e-3, 250, 100),                       # 3 batches, 2 row blocks each
+    (HalfSpace([0.0, 2.0]), 1e-2, 1500, 700),          # d = 2, 1-D projected stream
+    (cl.AngularCone([1.0, 0.0], 0.5), 1e-3, 150, 100),
+    (Complement(HALF_LINE), 1e-3, 150, 100),
+    (Complement(HALF_LINE), 1e-5, 25, 10_000),         # rows longer than a row block
+])
+def test_row_blocks_match_one_shot_batches(cone, h, samples, batch):
+    got = cl.tau_samples(cone, 1.0, h, samples, seed=5, batch=batch)
+    assert np.array_equal(got, one_shot_tau_samples(cone, 1.0, h, samples, 5, batch))
+
+
+def test_sampler_memory_is_flat_in_sample_count():
+    def peak(n):
+        tracemalloc.start()
+        try:
+            cl.tau_samples(HALF_LINE, 1.0, 1e-3, n, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2_000), peak(20_000)
+    assert large < 16 * 2**20
+    assert large / small <= 1.2

@@ -1,5 +1,6 @@
 """Command-line runner: outputs, determinism, exit codes, config validation."""
 
+import hashlib
 import json
 
 import pytest
@@ -169,3 +170,88 @@ def test_flags_without_config_file(tmp_path):
     csv_path, = out.glob("*.csv")
     _, rows = read_rows(csv_path)
     assert len(rows) == 7
+
+
+# SHA-256 of (CSV, summary.json) per operation at small sizes. Only
+# rotation and iid-shift systems: their realized orbits are fixed, so
+# any change to these digests is a change to the output contract.
+GOLDEN = {
+    "trace.rotation": (
+        ["trace", "--system", "rotation:golden", "--obs", "indicator(0.0,0.5)-0.5",
+         "--N", "300", "--seed", "3"],
+        "e87ef862fb0d79eb6af6fa0f9a4989d4e31f9694b5b39f7574a4c2f36beda8b3",
+        "335f7272d9b35580ce3e865e2065a8efd0ab2911aa493eae5d64420aefbabc7d"),
+    "trace.gaussian2": (
+        ["trace", "--system", "iid-shift:gaussian:2", "--obs", "iid(gaussian, d=2)",
+         "--N", "200", "--seed", "5"],
+        "045eb067cbd587eddb8fcb8b7f7bc4e44510a45c9dd4ce3a71b4ed4693eb8b38",
+        "d5c630d339f29ac92fdf21c1099398da1dc3399498ea18be80b152395ab728ea"),
+    "induce.rotation": (
+        ["induce", "--system", "rotation:sqrt2m1", "--obs", "frac-0.5",
+         "--set", "interval:0,0.25", "--returns", "100", "--seed", "1"],
+        "0780f61f575eb14ffde512e735955b338c3f13ea0b367ecca5febffaaf543067",
+        "ccea5f629389d1618c4c7f53c5a8d3d6ca1899966cc14b86d3b56e59f0f4229c"),
+    "directions.rademacher2": (
+        ["directions", "--system", "iid-shift:rademacher:2",
+         "--obs", "iid(rademacher, d=2)", "--N", "2000", "--seeds", "2", "--seed", "4"],
+        "f962a69161a20602087b62195d33ef33840da71134eac00b35d8af257e0dfc5a",
+        "b76408314c48468517c05608d5654fefd1b0c6003c698d9d423cf7579ced43f5"),
+    "directions.gaussian3": (
+        ["directions", "--system", "iid-shift:gaussian:3", "--obs", "iid(gaussian, d=3)",
+         "--N", "1500", "--thresholds", "1,5,20", "--seed", "7"],
+        "14cee9d9183ef92059f481ee9952d95ad4de903b52a8914c802944fc62fcf9f7",
+        "7e724aa7857ea7d2b30f5d96a827845b833685f70728adda36ea8bf837405f2e"),
+    "filling.rotation": (
+        ["filling", "--system", "rotation:golden", "--obs", "indicator(0.0,0.5)-0.5",
+         "--N", "500", "--seeds", "2", "--seed", "2"],
+        "20db3511d403bda702af94d6fa3aebef3b6749874de6187cc1f19c31d6b50ffb",
+        "1916d3d1b64c7933a2d333bf4f010ecb03de3d3c7af4827e6cc61c0868e03d94"),
+    # N on an engine block boundary: the N+1-step trace adds a one-row block
+    "filling.rotation.block": (
+        ["filling", "--system", "rotation:golden", "--obs", "indicator(0.0,0.5)-0.5",
+         "--N", "65536", "--seed", "6"],
+        "eac25d098e7b9bb5394fe909cf3009115e8c32f06cfb9b0a32a37f568e0455eb",
+        "8b23d93291903bf0869d4c9402a7203674f85902f37eba8aab8486bdd29d27c3"),
+    "sojourn.halfspace": (
+        ["sojourn", "--system", "iid-shift:gaussian:2", "--obs", "iid(gaussian, d=2)",
+         "--cone", "halfspace:0,1", "--N", "4096", "--seeds", "2", "--seed", "8"],
+        "4a405b6f1386ad57e12851bfc9ed7bf1ffcee97073a3d20dc932900a4403fc87",
+        "a34d23be39a5c15b5451d7c3d148822e32c7b84bd55fd15790844efd7bd20ebc"),
+    "sojourn.angular": (
+        ["sojourn", "--system", "iid-shift:gaussian:2", "--obs", "iid(gaussian, d=2)",
+         "--cone", "angular:1,0,0.5", "--N", "1000", "--grid", "10,100,1000", "--seed", "9"],
+        "4a6d75bf09ad34a3fb8e0cb3baf461da8ba1101f1e4268f313a959abb4c0d73c",
+        "ab2a6040adafe94c46c057cee4d1e65eedf8db5517e190072fec5d699c785946"),
+    "brownian.halfspace": (
+        ["brownian", "--cone", "halfspace:0,1", "--samples", "300", "--seed", "11"],
+        "5dec8af2793f1d66ca1f7ad3271f252bfa9ae187ac71c53033f39cf6fe66a58a",
+        "423acd4e9b72694622e1b6bcbe39bc1e43f5e43dbafc5b39471a3efeea315477"),
+    "brownian.angular": (
+        ["brownian", "--cone", "angular:1,0,0.5", "--samples", "20", "--seed", "12"],
+        "e4b518e094c8161540c055eb5142b8902241083f648dfd5bf7105f3e3a2933ea",
+        "23e1a1594a9d25be583a55e7d1d317199fbf3ee4f842bf03159320bea8d6af19"),
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_match_recorded_digests(tmp_path, name):
+    argv, csv_digest, summary_digest = GOLDEN[name]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--jobs", "1", "--out", str(out)]) == 0
+    csv_path, = out.glob("*.csv")
+    assert sha256(csv_path) == csv_digest
+    assert sha256(out / "summary.json") == summary_digest
+
+
+@pytest.mark.parametrize("cone, h", [("angular:1,0,0.5", "2"), ("halfspace:0,1", "0.5")])
+def test_brownian_step_size_is_a_config_error(tmp_path, capsys, cone, h):
+    out = tmp_path / "o"
+    code = cli.main(["brownian", "--cone", cone, "--h", h, "--samples", "3",
+                     "--out", str(out)])
+    assert code == 1
+    assert "config error: h:" in capsys.readouterr().err
+    assert not (out / "brownian.csv").exists()

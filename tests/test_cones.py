@@ -118,3 +118,45 @@ def test_fraction_bounds_and_additivity(x0, y0, x1, y1):
         g = float(cone.complement().segment_fraction(p0, p1)[0])
         assert -1e-12 <= f <= 1.0 + 1e-12
         assert f + g == pytest.approx(1.0, abs=1e-9)
+
+
+def three_where_fraction(normal, P0, P1):
+    # the half-space kernel as first written: three nested full-length wheres
+    a0 = P0 @ normal
+    a1 = P1 @ normal
+    pos0 = a0 > 0.0
+    pos1 = a1 > 0.0
+    den = a0 - a1
+    t0 = a0 / np.where(den == 0.0, 1.0, den)
+    return np.where(pos0 & pos1, 1.0,
+                    np.where(~pos0 & ~pos1, 0.0, np.where(pos0, t0, 1.0 - t0)))
+
+
+edge = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, -1e300])
+value = st.one_of(coord, edge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(value, value, value, value), min_size=1, max_size=40),
+       st.booleans())
+def test_halfspace_kernel_matches_three_where_formula(rows, flat):
+    R = np.array(rows)
+    P0, P1 = R[:, :2], R[:, 2:]
+    if flat:                                       # a0 == a1 on every row
+        P1 = P0.copy()
+    for normal in ([1.0, 0.0], [0.3, -1.0]):
+        hp = HalfSpace(normal)
+        got = hp.segment_fraction(P0, P1)
+        want = three_where_fraction(hp.normal, P0, P1)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_halfspace_kernel_edge_rows_bit_for_bit():
+    pairs = [(1.0, -1.0), (-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (-0.0, 2.0),
+             (3.0, -0.0), (2.0, 2.0), (0.0, 0.0), (-0.0, -0.0), (-3.0, -3.0),
+             (5e-324, -5e-324), (-5e-324, 5e-324), (0.25, -0.75)]
+    a = np.array(pairs)
+    hp = HalfSpace([1.0])
+    got = hp.segment_fraction(a[:, :1], a[:, 1:])
+    assert got.tobytes() == three_where_fraction(hp.normal, a[:, :1], a[:, 1:]).tobytes()
+    assert got[:4].tolist() == [0.5, 0.5, 1.0, 1.0]

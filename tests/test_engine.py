@@ -159,3 +159,16 @@ _PROP_TRACE = cl.ergodic_sums(
 @given(st.integers(min_value=1, max_value=900), st.integers(min_value=1, max_value=900))
 def test_additivity_property(n, p):
     assert cl.cocycle_identity_check(_PROP_TRACE, n, p) <= 1e-9
+
+
+def test_none_stores_no_checkpoints():
+    sysm = cl.rotation("golden", seed=3)
+    st0 = cl.sample_initial(sysm, 1)
+    bare = cl.ergodic_sums(sysm, half_obs(), st0, 3000, checkpoint_every=None)
+    huge = cl.ergodic_sums(sysm, half_obs(), st0, 3000, checkpoint_every=NO_CP)
+    assert bare.checkpoints == {} and huge.checkpoints == {}
+    assert np.array_equal(bare.values, huge.values)
+    back = cl.reverse_sums(sysm, half_obs(), st0, 3000, checkpoint_every=None)
+    assert back.checkpoints == {}
+    with pytest.raises(cl.MissingCheckpoint):
+        bare.state_at_step(1024)

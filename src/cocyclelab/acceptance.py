@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import brownian as br
 from . import directions as dr
@@ -143,7 +142,7 @@ def _c6_min_recursion():
             S = ergodic_sums(system, obs, st, 1000, checkpoint_every=None).values[:, 0]
             direct = np.minimum.accumulate(S[1:])
             worst_gap = max(worst_gap, float(np.abs(mp.m[1:1001] - direct).max()))
-            worst_res = max(worst_res, fl.decomposition_residual(system, obs, st, 1000))
+            worst_res = max(worst_res, mp.decomposition_residual())
     ok = worst_gap <= 1e-12 and worst_res <= 1e-12
     return ok, {"max_route_gap": f"{worst_gap:.2e}",
                 "max_residual": f"{worst_res:.2e}"}, "both <= 1e-12, 100 points"
@@ -180,7 +179,7 @@ def _c8_gaussian_limits():
                           checkpoint_every=None)
         ends[s] = tr.values[n]
     ends /= np.sqrt(n)
-    ks = max(stats.kstest(ends[:, j], stats.norm.cdf).statistic for j in (0, 1))
+    ks = max(br.ks_statistic(ends[:, j], br.normal_cdf) for j in (0, 1))
 
     B = ind.cylinder_positive(0)
     nr = 5000
@@ -288,7 +287,7 @@ def _c14_sojourn_extremes():
                           checkpoint_every=None)
         tau_walk[s] = so.tau(tr, n, cone)
     brown = br.tau_samples(cone, 1.0, 1e-3, reps, seed=14)
-    ks = float(stats.ks_2samp(tau_walk, brown).statistic)
+    ks = br.ks_2samp_statistic(tau_walk, brown)
     ok = joint_rate >= 0.7 and ks <= 0.05
     return ok, {"joint_rate": joint_rate, "ks_vs_brownian": round(ks, 4)}, \
         "max>=0.9 and min<=0.1 for >= 70%; KS <= 0.05"

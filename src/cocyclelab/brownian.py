@@ -8,10 +8,10 @@ with the same exact segment-crossing kernels used for walk paths.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .cones import Cone, HalfSpace
 from .errors import ConfigInvalid, NotPositiveDefinite
@@ -98,9 +98,32 @@ def arcsine_cdf(u) -> np.ndarray:
     return (2.0 / np.pi) * np.arcsin(np.sqrt(np.clip(u, 0.0, 1.0)))
 
 
+def normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-x / sqrt 2), elementwise."""
+    erfc = np.vectorize(math.erfc, otypes=[np.float64])
+    return 0.5 * erfc(-np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+
+
+def ks_statistic(samples, cdf) -> float:
+    """One-sample KS distance: max over i of i/n - F(x_(i)), F(x_(i)) - (i-1)/n."""
+    F = cdf(np.sort(np.asarray(samples, dtype=np.float64)))
+    n = len(F)
+    return float(max((np.arange(1.0, n + 1) / n - F).max(), (F - np.arange(0.0, n) / n).max()))
+
+
+def ks_2samp_statistic(a, b) -> float:
+    """Two-sample KS distance, counted exactly on the lattice 1/lcm(n_a, n_b)."""
+    a, b = np.sort(a), np.sort(b)
+    g = math.gcd(len(a), len(b))
+    pts = np.concatenate([a, b])
+    h = np.abs(np.searchsorted(a, pts, "right") * (len(b) // g)
+               - np.searchsorted(b, pts, "right") * (len(a) // g)).max()
+    return int(h) / (len(a) // g * len(b))
+
+
 def arcsine_ks(samples: np.ndarray) -> float:
     """KS distance of occupation samples to the arcsine law."""
-    return float(stats.kstest(samples, arcsine_cdf).statistic)
+    return ks_statistic(samples, arcsine_cdf)
 
 
 def scale_invariance_check(cone: Cone, t1: float, t2: float, samples: int,
@@ -115,7 +138,7 @@ def scale_invariance_check(cone: Cone, t1: float, t2: float, samples: int,
         raise ConfigInvalid("t", "horizons must differ")
     a = tau_samples(cone, t1, h, samples, seed=(seed * 2 + 1))
     b = tau_samples(cone, t2, h * (t2 / t1), samples, seed=(seed * 2 + 2))
-    return float(stats.ks_2samp(a, b).statistic)
+    return ks_2samp_statistic(a, b)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):

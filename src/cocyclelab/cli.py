@@ -31,7 +31,7 @@ from . import filling as fl
 from . import induce as ind
 from . import sojourn as so
 from . import systems as sy
-from .cones import parse_cone
+from .cones import BallWindow, parse_cone
 from .engine import ergodic_sums
 from .errors import CocycleLabError, ConfigInvalid
 from .observables import parse_observable
@@ -321,8 +321,11 @@ def _sojourn_task(payload: dict):
     tr = ergodic_sums(system, obs, sy.sample_initial(system, payload["seed"]),
                       payload["N"], checkpoint_every=None)
     ser = so.sojourn_series(tr, cone, grid=payload["grid"])
-    ball = [so.ball_visit_frequency(tr, int(n), payload["M"]) for n in ser.ns]
-    return ser.ns, ser.tau, ser.tau_disc, np.asarray(ball)
+    # one ball pass up to the top horizon; each horizon takes a prefix mean
+    top = int(ser.ns.max())
+    fr = BallWindow(payload["M"]).segment_fraction(tr.values[:top], tr.values[1:top + 1])
+    ball = np.array([fr[:n].mean() for n in ser.ns])
+    return ser.ns, ser.tau, ser.tau_disc, ball
 
 
 def _op_sojourn(cfg: dict, fp: str) -> int:

@@ -25,6 +25,7 @@ from .engine import CocycleTrace, ergodic_sums
 from .errors import ConfigInvalid
 from .induce import SetSpec, first_entry, induced_trace
 from .observables import ObservableSpec
+from .sojourn import dyadic_grid
 from .systems import SystemSpec, sample_initial
 
 DEFAULT_ARCS = 72
@@ -216,14 +217,7 @@ def recurrence_diagnostic(trace: CocycleTrace, epsilon: float) -> RecurrenceRepo
     if N < 1024:
         raise ConfigInvalid("N", "recurrence diagnostic needs N >= 1024")
     nrm = trace.norms
-    mins = []
-    j = 0
-    while (1 << j) <= N:
-        lo = 1 << j
-        hi = min((1 << (j + 1)) - 1, N)
-        mins.append(nrm[lo:hi + 1].min())
-        j += 1
-    mins = np.asarray(mins)
+    mins = np.array([nrm[lo:2 * lo].min() for lo in dyadic_grid(N)])
     if mins[-2:].min() <= epsilon:
         verdict = "recurrent-like"
     elif len(mins) >= 5 and np.all(np.diff(mins[-5:]) > 0.0):

@@ -84,23 +84,31 @@ def _grid(lo: int, hi: int, every: int | None) -> range:
     return range(-(-lo // every) * every, hi + 1, every)
 
 
-def ergodic_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
-                 N: int, checkpoint_every: int | None = 1024) -> CocycleTrace:
-    """Trace of S_n = sum_{k<n} phi(T^k x) for n = 0..N."""
+def _sweep(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
+           checkpoint_every: int | None, sign: int) -> tuple[np.ndarray, dict]:
+    # the block loop of both directions: step k adds phi(T^{k-1} x) for sign +1
+    # and -phi(T^{-k} x) for sign -1; checkpoints are keyed by the signed step
     obs.validate_for(system)
     values = np.zeros((N + 1, obs.d))
     checkpoints: dict = {}
     carry = np.zeros(obs.d, dtype=np.longdouble)
-    ext = max(1, obs.lookahead)    # row hi+1 must exist for on-grid checkpoints
-    off = 0
-    while off < N:
-        hi = min(off + BLOCK, N) - 1
-        data = orbit_span(system, state0, off, hi + ext)
-        phi = obs.evaluate(data, off, hi)
-        values[off + 1:hi + 2], carry = _accumulate(phi, carry)
-        for k in _grid(off + 1, hi + 1, checkpoint_every):
-            checkpoints[k] = _checkpoint_state(system, state0, data, k)
-        off = hi + 1
+    # forward, row hi+1 must exist for on-grid checkpoints
+    ext = max(1, obs.lookahead) if sign > 0 else obs.lookahead
+    for done in range(0, N, BLOCK):
+        m = min(done + BLOCK, N)   # this block covers steps done+1 .. m
+        lo, hi = (done, m - 1) if sign > 0 else (-m, -done - 1)
+        data = orbit_span(system, state0, lo, hi + ext)
+        phi = obs.evaluate(data, lo, hi)
+        values[done + 1:m + 1], carry = _accumulate(sign * phi[::sign], carry)
+        for k in _grid(done + 1, m, checkpoint_every):
+            checkpoints[sign * k] = _checkpoint_state(system, state0, data, sign * k)
+    return values, checkpoints
+
+
+def ergodic_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
+                 N: int, checkpoint_every: int | None = 1024) -> CocycleTrace:
+    """Trace of S_n = sum_{k<n} phi(T^k x) for n = 0..N."""
+    values, checkpoints = _sweep(system, obs, state0, N, checkpoint_every, 1)
     return CocycleTrace(system, obs, state0, N, values, checkpoints, checkpoint_every)
 
 
@@ -138,18 +146,6 @@ def reverse_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
     """
     if not system.invertible:
         raise NotInvertible("reverse sums need an invertible system")
-    obs.validate_for(system)
-    values = np.zeros((N + 1, obs.d))
-    checkpoints: dict = {}
-    carry = np.zeros(obs.d, dtype=np.longdouble)
-    done = 0                       # how many reverse steps are summed so far
-    while done < N:
-        m = min(done + BLOCK, N)   # this block covers reverse steps done+1 .. m
-        data = orbit_span(system, state0, -m, -done - 1 + obs.lookahead)
-        phi = obs.evaluate(data, -m, -done - 1)        # rows: k = m .. done+1
-        values[done + 1:m + 1], carry = _accumulate(-phi[::-1], carry)
-        for k in _grid(done + 1, m, checkpoint_every):
-            checkpoints[-k] = _checkpoint_state(system, state0, data, -k)
-        done = m
+    values, checkpoints = _sweep(system, obs, state0, N, checkpoint_every, -1)
     return CocycleTrace(system, obs, state0, N, values, checkpoints,
                         checkpoint_every, direction=-1)

@@ -21,6 +21,7 @@ import numpy as np
 from .engine import ergodic_sums
 from .errors import ConfigInvalid, MismatchError
 from .observables import ObservableSpec
+from .sojourn import dyadic_grid
 from .systems import SystemSpec, SystemState, sample_initial
 
 
@@ -79,13 +80,6 @@ def decomposition_residual(system: SystemSpec, obs: ObservableSpec,
     return min_process(system, obs, state0, N).decomposition_residual()
 
 
-def _dyadic_windows(N: int):
-    j = 0
-    while (1 << j) <= N:
-        yield 1 << j, min((1 << (j + 1)) - 1, N)
-        j += 1
-
-
 def classify_series(S: np.ndarray, level: float | None = None) -> str:
     """Growth label for one partial-sum series S_1..S_N (index 0 ignored).
 
@@ -98,14 +92,10 @@ def classify_series(S: np.ndarray, level: float | None = None) -> str:
         raise ConfigInvalid("N", "classification needs N >= 8")
     if level is None:
         level = max(2.0 * float(np.std(np.diff(S[0:]))), 1e-12)
-    wmin = []
-    wmax = []
-    for lo, hi in _dyadic_windows(N):
-        wmin.append(S[lo:hi + 1].min())
-        wmax.append(S[lo:hi + 1].max())
-    half = len(wmin) // 2
-    tail_min = np.asarray(wmin[half:])
-    tail_max = np.asarray(wmax[half:])
+    wins = [S[lo:2 * lo] for lo in dyadic_grid(N)]
+    tail = wins[len(wins) // 2:]
+    tail_min = np.array([w.min() for w in tail])
+    tail_max = np.array([w.max() for w in tail])
     if np.all(tail_min > level):
         return "to+inf"
     if np.all(tail_max < -level):
@@ -150,7 +140,7 @@ def kesten_rate(system: SystemSpec, obs: ObservableSpec, seeds,
         tr = ergodic_sums(system, obs, sample_initial(system, s), N,
                           checkpoint_every=None)
         ratio = tr.values[1:, 0] / np.arange(1, N + 1)
-        mins = [ratio[lo - 1:hi].min() for lo, hi in _dyadic_windows(N)]
+        mins = [ratio[lo - 1:2 * lo - 1].min() for lo in dyadic_grid(N)]
         half = len(mins) // 2
         out[i] = min(mins[half:])
     return out

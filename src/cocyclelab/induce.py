@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import _accumulate
 from .errors import CapExceeded, ConfigInvalid
 from .observables import ObservableSpec
 from .systems import OrbitData, SystemSpec, SystemState, orbit_span, sample_initial, state_at
@@ -129,13 +130,12 @@ class InducedTrace:
         return state_at(self.system, self.state0, int(self.return_times[k - 1]))
 
 
-def _scan_returns(system, B, state, n_returns, cap, collect_sums=None):
+def _scan_returns(system, B, state, n_returns, cap, obs=None):
     """Stream the orbit, yielding return indices (and sums at them).
 
-    collect_sums: None, or (obs, d) to also record partial sums at the
-    returns. Returns (return_times, values or None).
+    obs: None, or the observable whose partial sums are also recorded
+    at the returns. Returns (return_times, values or None).
     """
-    obs = collect_sums
     rt = np.empty(n_returns, dtype=np.int64)
     vals = np.zeros((n_returns + 1, obs.d)) if obs is not None else None
     carry = np.zeros(obs.d, dtype=np.longdouble) if obs is not None else None
@@ -149,8 +149,7 @@ def _scan_returns(system, B, state, n_returns, cap, collect_sums=None):
         mask = B.contains(data, a, b)
         if obs is not None:
             phi = obs.evaluate(data, a - 1, b - 1)        # rows k = a-1 .. b-1
-            sums = np.cumsum(phi.astype(np.longdouble), axis=0) + carry
-            carry = sums[-1]
+            sums, carry = _accumulate(phi, carry)
         hits = np.flatnonzero(mask)
         if len(hits):
             js = a + hits
@@ -161,7 +160,7 @@ def _scan_returns(system, B, state, n_returns, cap, collect_sums=None):
                 raise CapExceeded(cap)
             rt[found:found + take] = js[:take]
             if obs is not None:
-                vals[found + 1:found + 1 + take] = sums[hits[:take]].astype(np.float64)
+                vals[found + 1:found + 1 + take] = sums[hits[:take]]
             found += take
             last = int(js[take - 1])
         if found < n_returns and (b - last) > cap:
@@ -197,7 +196,7 @@ def induced_trace(system: SystemSpec, obs: ObservableSpec, B: SetSpec,
     data = orbit_span(system, state0, 0, 0)
     if not bool(B.contains(data, 0, 0)[0]):
         raise ValueError("induced_trace requires a base point inside B")
-    rt, vals = _scan_returns(system, B, state0, n_returns, cap, collect_sums=obs)
+    rt, vals = _scan_returns(system, B, state0, n_returns, cap, obs=obs)
     return InducedTrace(system, obs, B, state0, rt, vals, cap)
 
 

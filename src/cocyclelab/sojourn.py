@@ -20,15 +20,13 @@ from .errors import ConfigInvalid
 
 def interpolated_value(trace: CocycleTrace, n: int, s) -> np.ndarray:
     """W_n(s); vectorized over s. s = k/n returns S_k exactly."""
-    if not 1 <= n <= trace.N:
-        raise ConfigInvalid("n", "need 1 <= n <= N")
+    P0, P1 = _segments(trace, n)
     s = np.asarray(s, dtype=np.float64)
     if np.any((s < 0.0) | (s > 1.0)):
         raise ConfigInvalid("s", "need 0 <= s <= 1")
     k = np.minimum((n * s).astype(np.int64), n - 1)
     frac = n * s - k
-    V = trace.values
-    return V[k] + frac[..., None] * (V[k + 1] - V[k])
+    return P0[k] + frac[..., None] * (P1[k] - P0[k])
 
 
 def _segments(trace: CocycleTrace, n: int):
@@ -56,12 +54,8 @@ def ball_visit_frequency(trace: CocycleTrace, n: int, M: float) -> float:
 
 
 def dyadic_grid(N: int) -> np.ndarray:
-    out = []
-    j = 0
-    while (1 << j) <= N:
-        out.append(1 << j)
-        j += 1
-    return np.asarray(out, dtype=np.int64)
+    """Powers of two 1, 2, 4, ... up to N; window [lo, 2 lo) is S[lo:2 * lo]."""
+    return 2 ** np.arange(max(int(N), 0).bit_length(), dtype=np.int64)
 
 
 @dataclass

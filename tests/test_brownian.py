@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import Complement, HalfSpace
+from cocyclelab.brownian import ks_2samp_statistic, ks_statistic, normal_cdf
 
 HALF_LINE = HalfSpace([1.0])
 
@@ -182,3 +185,42 @@ def test_sampler_memory_is_flat_in_sample_count():
     small, large = peak(2_000), peak(20_000)
     assert large < 16 * 2**20
     assert large / small <= 1.2
+
+
+# The KS statistics are computed in numpy; scipy is the oracle here and is
+# imported only inside these tests.
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.sampled_from([0, 4, 50]))
+def test_one_sample_ks_equals_scipy(n, seed, levels):
+    from scipy import stats
+
+    rng = np.random.default_rng(seed)
+    x = rng.beta(0.5, 0.5, n)
+    if levels:                                   # ties, and the end points 0 and 1
+        x = np.round(x * levels) / levels
+    assert ks_statistic(x, cl.arcsine_cdf) == stats.kstest(x, cl.arcsine_cdf).statistic
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10_000), st.integers(1, 10_000), st.integers(0, 2**32 - 1),
+       st.sampled_from([0, 3, 40]), st.booleans())
+def test_two_sample_ks_equals_scipy(n1, n2, seed, levels, same_size):
+    from scipy import stats
+
+    rng = np.random.default_rng(seed)
+    a = rng.random(n1)
+    b = rng.random(n1 if same_size else n2) * 1.2
+    if levels:                                   # ties within and across samples
+        a, b = np.round(a * levels) / levels, np.round(b * levels) / levels
+    assert ks_2samp_statistic(a, b) == stats.ks_2samp(a, b).statistic
+
+
+def test_normal_cdf_matches_scipy():
+    from scipy import stats
+
+    x = np.concatenate([np.linspace(-40.0, 40.0, 20_001),
+                        np.random.default_rng(2).standard_normal(20_000) * 3.0,
+                        [0.0, -0.0, np.inf, -np.inf]])
+    assert np.max(np.abs(normal_cdf(x) - stats.norm.cdf(x))) <= 1e-15
+    assert normal_cdf(0.0) == 0.5 and normal_cdf(np.zeros((2, 3))).shape == (2, 3)

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cocyclelab
 from cocyclelab import cli
 
 
@@ -255,3 +260,30 @@ def test_brownian_step_size_is_a_config_error(tmp_path, capsys, cone, h):
     assert code == 1
     assert "config error: h:" in capsys.readouterr().err
     assert not (out / "brownian.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    src = str(Path(cocyclelab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import cocyclelab, cocyclelab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("law, d", [("gaussian", 2), ("rademacher", 3), ("cauchy", 2)])
+def test_sojourn_ball_pass_equals_per_horizon_frequency(law, d):
+    system = {"kind": "iid-shift", "law": law, "d": d}
+    N = 5000
+    grid = sorted({int(n) for n in np.geomspace(1, N, 64)})
+    for g in (None, grid):
+        payload = {"system": system, "observable": f"iid({law}, d={d})", "N": N,
+                   "cone": "halfspace:" + ",".join(["1"] + ["0"] * (d - 1)),
+                   "grid": g, "M": 20.0, "seed": 3}
+        ns, _, _, ball = cli._sojourn_task(payload)
+        sysm = cocyclelab.parse_system(system)
+        tr = cocyclelab.ergodic_sums(sysm, cocyclelab.parse_observable(payload["observable"]),
+                                     cocyclelab.sample_initial(sysm, 3), N)
+        ref = [cocyclelab.ball_visit_frequency(tr, int(n), 20.0) for n in ns]
+        assert ball.tobytes() == np.array(ref).tobytes()

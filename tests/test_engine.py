@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclelab as cl
+from cocyclelab import engine as eng
 
 NO_CP = 1 << 62
 
@@ -172,3 +173,69 @@ def test_none_stores_no_checkpoints():
     assert back.checkpoints == {}
     with pytest.raises(cl.MissingCheckpoint):
         bare.state_at_step(1024)
+
+
+# Forward and reverse sums share one block loop. These are the two loops it
+# replaced, kept verbatim as the reference for values and checkpoints.
+
+def separate_forward_loop(system, obs, state0, N, checkpoint_every):
+    values = np.zeros((N + 1, obs.d))
+    checkpoints = {}
+    carry = np.zeros(obs.d, dtype=np.longdouble)
+    ext = max(1, obs.lookahead)
+    off = 0
+    while off < N:
+        hi = min(off + eng.BLOCK, N) - 1
+        data = cl.orbit_span(system, state0, off, hi + ext)
+        phi = obs.evaluate(data, off, hi)
+        s = np.cumsum(phi.astype(np.longdouble), axis=0) + carry
+        values[off + 1:hi + 2], carry = s.astype(np.float64), s[-1]
+        for k in eng._grid(off + 1, hi + 1, checkpoint_every):
+            checkpoints[k] = eng._checkpoint_state(system, state0, data, k)
+        off = hi + 1
+    return values, checkpoints
+
+
+def separate_reverse_loop(system, obs, state0, N, checkpoint_every):
+    values = np.zeros((N + 1, obs.d))
+    checkpoints = {}
+    carry = np.zeros(obs.d, dtype=np.longdouble)
+    done = 0
+    while done < N:
+        m = min(done + eng.BLOCK, N)
+        data = cl.orbit_span(system, state0, -m, -done - 1 + obs.lookahead)
+        phi = obs.evaluate(data, -m, -done - 1)
+        s = np.cumsum((-phi[::-1]).astype(np.longdouble), axis=0) + carry
+        values[done + 1:m + 1], carry = s.astype(np.float64), s[-1]
+        for k in eng._grid(done + 1, m, checkpoint_every):
+            checkpoints[-k] = eng._checkpoint_state(system, state0, data, -k)
+        done = m
+    return values, checkpoints
+
+
+def same_state(a, b):
+    return (a.index == b.index and a.origin == b.origin and a.traj_key == b.traj_key
+            and (a.coords is None) == (b.coords is None)
+            and (a.coords is None or a.coords.tobytes() == b.coords.tobytes()))
+
+
+_GAUSS = cl.iid_shift("gaussian", d=2, seed=17)
+
+
+@pytest.mark.parametrize("system, obs, state0", [
+    (cl.rotation("golden", seed=5), half_obs(), rot_state(0.3)),
+    (cl.rotation("golden", seed=5), cl.coboundary_of(cl.parse_observable("frac")),
+     rot_state(0.3)),                                          # lookahead 1
+    (_GAUSS, cl.iid_increment("gaussian", 2), cl.sample_initial(_GAUSS, 2)),
+], ids=["rotation", "rotation-lookahead1", "gaussian"])
+@pytest.mark.parametrize("every", [None, 1000])
+def test_shared_block_loop_matches_separate_loops(system, obs, state0, every):
+    N = 2 * eng.BLOCK + 3
+    assert obs.lookahead == (1 if "cob" in obs.text else 0)
+    for sums, loop in ((cl.ergodic_sums, separate_forward_loop),
+                       (cl.reverse_sums, separate_reverse_loop)):
+        tr = sums(system, obs, state0, N, checkpoint_every=every)
+        values, checkpoints = loop(system, obs, state0, N, every)
+        assert tr.values.tobytes() == values.tobytes()
+        assert list(tr.checkpoints) == list(checkpoints)
+        assert all(same_state(tr.checkpoints[k], checkpoints[k]) for k in checkpoints)

@@ -8,21 +8,27 @@ convention cannot move any occupation time beyond crossing tolerance.
 {s in [0,1]: P0 + s (P1 - P0) in C}, in closed form:
 
 - half-space: one linear crossing per segment;
-- orthant: one crossing per constrained coordinate; the candidate
-  breakpoints split [0,1] into at most d+1 pieces whose midpoints are
-  tested exactly;
+- orthant: one candidate crossing per constrained coordinate;
 - angular cone (axis u, aperture ap, i.e. membership
   ||v/||v|| - u|| < ap, equivalently <v,u> > c||v|| with
   c = 1 - ap^2/2): the squared condition is a quadratic in s whose
-  roots are the only possible crossings; midpoints are tested with the
-  exact unsquared membership, so spurious roots and tangencies drop
-  out without bisection.
+  roots are the only possible crossings.
+
+For the last two, a segment with no candidate strictly inside (0, 1)
+takes one membership test, at its midpoint. Only crossing segments
+(about 0.1% of a long walk's) split [0,1] at their sorted candidates and
+test each piece's midpoint with the exact (unsquared) membership, so
+spurious roots and tangencies drop out without bisection. Angular
+fractions of segments whose squared coordinates overflow (about 1e154
+and above) come out NaN, or 0 where the norm itself overflows.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigInvalid
+
+ROWS = 1 << 14          # segments per angular-kernel block: temporaries stay in cache
 
 
 class Cone:
@@ -39,18 +45,29 @@ class Cone:
         return Complement(self)
 
 
+def _norm(V) -> np.ndarray:
+    # sqrt(v0*v0 + v1*v1 + ...) over the last axis, summed in the order
+    # np.add.reduce takes for d <= 7 (same bytes), without its per-row cost
+    V = np.asarray(V)
+    return np.sqrt(sum(V[..., k] * V[..., k] for k in range(V.shape[-1])))
+
+
 def _midpoint_fractions(cone: Cone, P0, P1, ts) -> np.ndarray:
-    # ts: (n, m) candidate breakpoints already clipped to [0,1];
-    # evaluates exact membership on each sub-interval midpoint
-    n = len(P0)
-    ts = np.concatenate([np.zeros((n, 1)), np.clip(ts, 0.0, 1.0),
-                         np.ones((n, 1))], axis=1)
+    # ts: (m, n), m candidate crossings per segment. A segment with none
+    # strictly inside (0, 1) (NaN counts as inside) lies on one side: one
+    # test at its midpoint. The rest test every piece between sorted breakpoints
+    fr = cone.contains(P0 + 0.5 * (P1 - P0)).astype(np.float64)
+    i = np.flatnonzero((~((ts <= 0.0) | (ts >= 1.0))).any(axis=0))
+    P0, P1, k = P0[i], P1[i], len(i)
+    ts = np.concatenate([np.zeros((k, 1)), np.clip(ts[:, i].T, 0.0, 1.0),
+                         np.ones((k, 1))], axis=1)
     ts.sort(axis=1)
-    mids = 0.5 * (ts[:, 1:] + ts[:, :-1])                       # (n, m+1)
+    mids = 0.5 * (ts[:, 1:] + ts[:, :-1])                       # (k, m+1)
     seg = (P1 - P0)[:, None, :]
-    pts = P0[:, None, :] + mids[..., None] * seg                # (n, m+1, d)
+    pts = P0[:, None, :] + mids[..., None] * seg                # (k, m+1, d)
     inside = cone.contains(pts.reshape(-1, cone.d)).reshape(mids.shape)
-    return ((ts[:, 1:] - ts[:, :-1]) * inside).sum(axis=1)
+    fr[i] = ((ts[:, 1:] - ts[:, :-1]) * inside).sum(axis=1)
+    return fr
 
 
 class HalfSpace(Cone):
@@ -109,7 +126,7 @@ class Orthant(Cone):
         q = (P1 - P0)[:, self._active]
         qs = np.where(q == 0.0, 1.0, q)
         ts = np.where(q == 0.0, 1.0, -p / qs)                   # crossing per face
-        return _midpoint_fractions(self, P0, P1, ts)
+        return _midpoint_fractions(self, P0, P1, ts.T)
 
 
 class AngularCone(Cone):
@@ -117,7 +134,7 @@ class AngularCone(Cone):
 
     def __init__(self, axis, aperture: float):
         u = np.asarray(axis, dtype=np.float64)
-        nrm = np.linalg.norm(u)
+        nrm = np.sqrt(u.ravel().dot(u.ravel()))
         if u.ndim != 1 or nrm == 0.0:
             raise ConfigInvalid("cone", "angular cone needs a nonzero axis")
         if not 0.0 < aperture < 2.0:
@@ -129,12 +146,15 @@ class AngularCone(Cone):
         self.d = len(u)
 
     def contains(self, V):
-        V = np.asarray(V)
-        dots = V @ self.axis
-        nrms = np.linalg.norm(V, axis=-1)
-        return dots > self.cos_threshold * nrms
+        return np.asarray(V) @ self.axis > self.cos_threshold * _norm(V)
 
     def segment_fraction(self, P0, P1):
+        out = np.empty(len(P0))
+        for k in range(0, len(P0), ROWS):
+            out[k:k + ROWS] = self._fractions(P0[k:k + ROWS], P1[k:k + ROWS])
+        return out
+
+    def _fractions(self, P0, P1):
         c2 = self.cos_threshold * self.cos_threshold
         q = P1 - P0
         pu = P0 @ self.axis
@@ -146,17 +166,17 @@ class AngularCone(Cone):
         A = qu * qu - c2 * qq
         Bh = pu * qu - c2 * pq                                  # half of the s coefficient
         C = pu * pu - c2 * pp
-        ts = np.full((len(P0), 2), 1.0)
         quad = np.abs(A) > 1e-30
         disc = Bh * Bh - A * C
         ok = quad & (disc > 0.0)
         sq = np.sqrt(np.where(ok, disc, 0.0))
         As = np.where(ok, A, 1.0)
-        ts[ok, 0] = (-Bh[ok] - sq[ok]) / As[ok]
-        ts[ok, 1] = (-Bh[ok] + sq[ok]) / As[ok]
         lin = ~quad & (np.abs(Bh) > 1e-30)
-        ts[lin, 0] = -0.5 * C[lin] / Bh[lin]
-        return _midpoint_fractions(self, P0, P1, ts)
+        # roots of the quadratic, or of its linear remainder; 1.0 (no crossing) elsewhere
+        r0 = np.where(ok, (-Bh - sq) / As,
+                      np.where(lin, -0.5 * C / np.where(lin, Bh, 1.0), 1.0))
+        r1 = np.where(ok, (-Bh + sq) / As, 1.0)
+        return _midpoint_fractions(self, P0, P1, np.stack([r0, r1]))
 
 
 class Complement(Cone):
@@ -185,7 +205,7 @@ class BallWindow:
         self.M = float(M)
 
     def contains(self, V):
-        return np.linalg.norm(np.asarray(V), axis=-1) < self.M
+        return _norm(V) < self.M
 
     def segment_fraction(self, P0, P1):
         # ||P0 + s q||^2 < M^2 is convex in s: inside exactly between roots

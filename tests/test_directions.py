@@ -6,14 +6,12 @@ import pytest
 import cocyclelab as cl
 from cocyclelab import directions as dr
 
-NO_CP = 1 << 62
-
 
 def rademacher_trace(sys_seed: int, init_seed: int, n: int) -> cl.CocycleTrace:
     sysm = cl.iid_shift("rademacher", d=2, seed=sys_seed)
     return cl.ergodic_sums(sysm, cl.iid_increment("rademacher", 2),
                            cl.sample_initial(sysm, init_seed), n,
-                           checkpoint_every=NO_CP)
+                           checkpoint_every=None)
 
 
 def test_mesh_assignment():
@@ -29,7 +27,7 @@ def test_mesh_assignment():
 def test_unit_drift_fills_positive_cell():
     sysm = cl.doubling(seed=2)
     tr = cl.ergodic_sums(sysm, cl.constant(1.0), cl.sample_initial(sysm, 0), 100,
-                         checkpoint_every=NO_CP)
+                         checkpoint_every=None)
     mesh = dr.make_mesh(1)
     h = dr.hist_from_trace(tr, mesh, np.array([0.5, 10.0, 50.0]))
     assert h.counts[0].tolist() == [100, 0]
@@ -47,7 +45,7 @@ def test_zero_sums_are_skipped():
 def test_constant_vector_occupies_one_cell():
     sysm = cl.rotation("golden")
     tr = cl.ergodic_sums(sysm, cl.constant([1.0, 2.0]), cl.sample_initial(sysm, 0),
-                         500, checkpoint_every=NO_CP)
+                         500, checkpoint_every=None)
     mesh = dr.make_mesh(2)
     h = dr.hist_from_trace(tr, mesh, np.array([1.0, 10.0, 100.0]))
     for i in range(3):
@@ -60,7 +58,7 @@ def test_coboundary_histogram_empties_beyond_bound():
     sysm = cl.rotation("golden")
     phi = cl.coboundary_of(cl.parse_observable("sin2pi(frac)"))
     tr = cl.ergodic_sums(sysm, phi, cl.sample_initial(sysm, 4), 50_000,
-                         checkpoint_every=NO_CP)
+                         checkpoint_every=None)
     h = dr.hist_from_trace(tr, dr.make_mesh(1), np.array([2.5, 5.0]))
     assert h.counts.sum() == 0
 
@@ -122,9 +120,9 @@ def test_shift_stability_of_visited_cells():
         sysm = cl.iid_shift("rademacher", d=2, seed=100 + s)
         obs = cl.iid_increment("rademacher", 2)
         x0 = cl.sample_initial(sysm, s)
-        tr_x = cl.ergodic_sums(sysm, obs, x0, 10_001, checkpoint_every=NO_CP)
+        tr_x = cl.ergodic_sums(sysm, obs, x0, 10_001, checkpoint_every=None)
         tr_tx = cl.ergodic_sums(sysm, obs, cl.step(sysm, x0), 10_000,
-                                checkpoint_every=NO_CP)
+                                checkpoint_every=None)
         lad = dr.default_m_ladder(float(np.median(tr_x.norms[1:])))
         h_x = dr.hist_from_trace(tr_x, mesh, lad)
         h_tx = dr.hist_from_trace(tr_tx, mesh, lad)
@@ -137,14 +135,14 @@ def test_shift_stability_of_visited_cells():
 def test_recurrence_verdicts():
     sysm = cl.doubling(seed=1)
     tr = cl.ergodic_sums(sysm, cl.constant(1.0), cl.sample_initial(sysm, 0), 1 << 10,
-                         checkpoint_every=NO_CP)
+                         checkpoint_every=None)
     assert cl.recurrence_diagnostic(tr, 0.5).verdict == "transient-like"
 
     rot = cl.rotation("golden")
     centered = cl.centered_indicator(0.0, 0.5)
     for s in range(5):
         tr = cl.ergodic_sums(rot, centered, cl.sample_initial(rot, s), 1 << 14,
-                             checkpoint_every=NO_CP)
+                             checkpoint_every=None)
         assert cl.recurrence_diagnostic(tr, 0.5).verdict == "recurrent-like"
 
 
@@ -154,7 +152,7 @@ def test_cauchy_walk_never_looks_recurrent():
     verdicts = []
     for s in range(12):
         tr = cl.ergodic_sums(sysm, obs, cl.sample_initial(sysm, s), 1 << 18,
-                             checkpoint_every=NO_CP)
+                             checkpoint_every=None)
         verdicts.append(cl.recurrence_diagnostic(tr, 0.5).verdict)
     assert "recurrent-like" not in verdicts
     assert verdicts.count("transient-like") >= 2
@@ -206,7 +204,7 @@ def test_essential_probe_whole_space_matches_plain_estimate():
     mesh = dr.make_mesh(1)
     lad = np.array([10.0, 100.0, 1000.0])
     tr = cl.ergodic_sums(sysm, obs, cl.sample_initial(sysm, 1), 20_000,
-                         checkpoint_every=NO_CP)
+                         checkpoint_every=None)
     plain = cl.direction_set_estimate(dr.hist_from_trace(tr, mesh, lad))
     probe = cl.essential_probe(sysm, obs, [cl.interval(0.0, 1.0)], lad, mesh,
                                20_000, [1])
@@ -231,7 +229,7 @@ def test_direction_scan_merges_like_manual_histograms():
     merged = None
     for s in (0, 1):
         tr = cl.ergodic_sums(sysm, obs, cl.sample_initial(sysm, s), 4000,
-                             checkpoint_every=NO_CP)
+                             checkpoint_every=None)
         h = dr.hist_from_trace(tr, mesh, lad)
         merged = h if merged is None else merged.merge(h)
     want = cl.direction_set_estimate(merged)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 import cocyclelab as cl
 from cocyclelab import engine as eng
 
-NO_CP = 1 << 62
-
 
 def rot_state(x: float) -> cl.SystemState:
     return cl.SystemState(0, coords=np.array([x]), origin=x)
@@ -22,13 +20,13 @@ def half_obs() -> cl.ObservableSpec:
 def rademacher_trace(seed: int, n: int) -> cl.CocycleTrace:
     sysm = cl.iid_shift("rademacher", d=2, seed=seed)
     return cl.ergodic_sums(sysm, cl.iid_increment("rademacher", 2),
-                           cl.sample_initial(sysm, seed), n, checkpoint_every=NO_CP)
+                           cl.sample_initial(sysm, seed), n, checkpoint_every=None)
 
 
 def test_rotation_first_three_sums():
     # orbit of 0 under x -> x + (sqrt(2)-1): 0, 0.41421, 0.82842
     tr = cl.ergodic_sums(cl.rotation("sqrt2m1"), half_obs(), rot_state(0.0), 3,
-                         checkpoint_every=NO_CP)
+                         checkpoint_every=None)
     assert np.allclose(tr.values[:, 0], [0.0, 0.5, 1.0, 0.5], atol=1e-12)
     assert tr.values.shape == (4, 1)
 
@@ -37,7 +35,7 @@ def test_iid_sums_equal_increment_resummation():
     sysm = cl.iid_shift("rademacher", d=2, seed=7)
     obs = cl.iid_increment("rademacher", 2)
     st0 = cl.sample_initial(sysm, 0)
-    tr = cl.ergodic_sums(sysm, obs, st0, 10, checkpoint_every=NO_CP)
+    tr = cl.ergodic_sums(sysm, obs, st0, 10, checkpoint_every=None)
     steps = np.array([cl.evaluate_at(sysm, obs, cl.state_at(sysm, st0, k))
                       for k in range(10)])
     resum = np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
@@ -55,13 +53,13 @@ def test_additivity_brute_force_iid():
     sysm = cl.iid_shift("gaussian", d=2, seed=11)
     obs = cl.iid_increment("gaussian", 2)
     st0 = cl.sample_initial(sysm, 2)
-    tr = cl.ergodic_sums(sysm, obs, st0, 1000, checkpoint_every=NO_CP)
+    tr = cl.ergodic_sums(sysm, obs, st0, 1000, checkpoint_every=None)
     rng = np.random.default_rng(0)
     for _ in range(100):
         n = int(rng.integers(1, 500))
         p = int(rng.integers(1, 500))
         tail = cl.ergodic_sums(sysm, obs, cl.state_at(sysm, st0, n), p,
-                               checkpoint_every=NO_CP)
+                               checkpoint_every=None)
         resid = np.linalg.norm(tr.values[n + p] - tr.values[n] - tail.values[p])
         assert resid <= 1e-9
 
@@ -110,7 +108,7 @@ def test_reverse_forward_consistency():
         (cl.iid_shift("gaussian", d=2, seed=4), cl.iid_increment("gaussian", 2),
          cl.sample_initial(cl.iid_shift("gaussian", d=2, seed=4), 0)),
     ):
-        fwd = cl.ergodic_sums(sysm, obs, st0, 64, checkpoint_every=NO_CP)
+        fwd = cl.ergodic_sums(sysm, obs, st0, 64, checkpoint_every=None)
         for n in (1, 7, 64):
             rev = cl.reverse_sums(sysm, obs, cl.state_at(sysm, st0, n), n)
             assert np.max(np.abs(rev.values[n] + fwd.values[n])) <= 1e-12
@@ -121,7 +119,7 @@ def test_norm_step_bound():
     tr_x = rademacher_trace(3, 2001)
     sysm = tr_x.system
     tx = cl.step(sysm, tr_x.state0)
-    tr_tx = cl.ergodic_sums(sysm, tr_x.obs, tx, 2000, checkpoint_every=NO_CP)
+    tr_tx = cl.ergodic_sums(sysm, tr_x.obs, tx, 2000, checkpoint_every=None)
     step_norm = np.linalg.norm(tr_x.values[1])
     gap = np.abs(tr_x.norms[2:] - tr_tx.norms[1:])
     assert np.max(gap) <= step_norm + 1e-12
@@ -131,7 +129,7 @@ def test_coboundary_sums_stay_bounded():
     sysm = cl.rotation("golden")
     phi = cl.coboundary_of(cl.parse_observable("sin2pi(frac)"))
     st0 = cl.sample_initial(sysm, 5)
-    tr = cl.ergodic_sums(sysm, phi, st0, 10_000, checkpoint_every=NO_CP)
+    tr = cl.ergodic_sums(sysm, phi, st0, 10_000, checkpoint_every=None)
     data = cl.orbit_span(sysm, st0, 0, 10_000)
     psi = cl.parse_observable("sin2pi(frac)").evaluate(data, 0, 10_000)[:, 0]
     assert np.max(np.abs(tr.values[:, 0] - (psi - psi[0]))) <= 1e-12
@@ -166,7 +164,7 @@ def test_none_stores_no_checkpoints():
     sysm = cl.rotation("golden", seed=3)
     st0 = cl.sample_initial(sysm, 1)
     bare = cl.ergodic_sums(sysm, half_obs(), st0, 3000, checkpoint_every=None)
-    huge = cl.ergodic_sums(sysm, half_obs(), st0, 3000, checkpoint_every=NO_CP)
+    huge = cl.ergodic_sums(sysm, half_obs(), st0, 3000, checkpoint_every=1 << 62)
     assert bare.checkpoints == {} and huge.checkpoints == {}
     assert np.array_equal(bare.values, huge.values)
     back = cl.reverse_sums(sysm, half_obs(), st0, 3000, checkpoint_every=None)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 
-NO_CP = 1 << 62
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -70,7 +69,7 @@ def test_centered_indicator_is_centered():
     obs = cl.centered_indicator(0.0, 0.5)
     sysm = cl.rotation("golden")
     tr = cl.ergodic_sums(sysm, obs, cl.sample_initial(sysm, 1), 100_000,
-                         checkpoint_every=NO_CP)
+                         checkpoint_every=None)
     assert abs(tr.values[-1, 0]) / 100_000 <= 0.01
     _, _, ok = cl.verify_centered(sysm, obs)
     assert ok
@@ -80,7 +79,7 @@ def test_iid_increment_reads_cached_sequence():
     sysm = cl.iid_shift("rademacher", d=2, seed=7)
     obs = cl.iid_increment("rademacher", 2)
     st0 = cl.sample_initial(sysm, 0)
-    tr = cl.ergodic_sums(sysm, obs, st0, 10, checkpoint_every=NO_CP)
+    tr = cl.ergodic_sums(sysm, obs, st0, 10, checkpoint_every=None)
     steps = np.array([cl.evaluate_at(sysm, obs, cl.state_at(sysm, st0, k))
                       for k in range(10)])
     assert np.allclose(np.diff(tr.values, axis=0), steps, atol=1e-12)
@@ -91,7 +90,7 @@ def test_coboundary_sums_telescope():
     sysm = cl.rotation("golden")
     phi = cl.coboundary_of(cl.parse_observable("sin2pi(frac)"))
     st0 = rot_state(0.2)
-    tr = cl.ergodic_sums(sysm, phi, st0, 1000, checkpoint_every=NO_CP)
+    tr = cl.ergodic_sums(sysm, phi, st0, 1000, checkpoint_every=None)
     n = np.arange(1001)
     xs = (0.2 + GOLDEN * n) % 1.0
     psi = np.sin(2 * np.pi * xs)
@@ -102,7 +101,7 @@ def test_coboundary_with_drift():
     sysm = cl.rotation("golden")
     phi = cl.coboundary_of(cl.parse_observable("frac"), drift=[0.25])
     st0 = rot_state(0.6)
-    tr = cl.ergodic_sums(sysm, phi, st0, 500, checkpoint_every=NO_CP)
+    tr = cl.ergodic_sums(sysm, phi, st0, 500, checkpoint_every=None)
     n = np.arange(501)
     xs = (0.6 + GOLDEN * n) % 1.0
     assert np.max(np.abs(tr.values[:, 0] - (xs - xs[0] + 0.25 * n))) <= 1e-12

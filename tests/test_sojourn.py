@@ -7,19 +7,18 @@ import cocyclelab as cl
 from cocyclelab import AngularCone, Complement, HalfSpace, Orthant
 from cocyclelab import sojourn as so
 
-NO_CP = 1 << 62
 HALF_PLANE = HalfSpace([0.0, 1.0])
 
 
 def rademacher_trace(seed: int, n: int) -> cl.CocycleTrace:
     sysm = cl.iid_shift("rademacher", d=2, seed=seed)
     return cl.ergodic_sums(sysm, cl.iid_increment("rademacher", 2),
-                           cl.sample_initial(sysm, seed), n, checkpoint_every=NO_CP)
+                           cl.sample_initial(sysm, seed), n, checkpoint_every=None)
 
 
 def hand_trace(points) -> cl.CocycleTrace:
     vals = np.asarray(points, dtype=np.float64)
-    return cl.CocycleTrace(None, None, None, len(vals) - 1, vals, {}, NO_CP)
+    return cl.CocycleTrace(None, None, None, len(vals) - 1, vals, {}, None)
 
 
 def quadrature_tau(tr, n, cone, pts=100_000) -> float:
@@ -145,8 +144,8 @@ def test_shift_stability_with_inflated_cone():
         sysm = cl.iid_shift("rademacher", d=2, seed=200 + s)
         obs = cl.iid_increment("rademacher", 2)
         x0 = cl.sample_initial(sysm, s)
-        tr_x = cl.ergodic_sums(sysm, obs, x0, n + 1, checkpoint_every=NO_CP)
-        tr_tx = cl.ergodic_sums(sysm, obs, cl.step(sysm, x0), n, checkpoint_every=NO_CP)
+        tr_x = cl.ergodic_sums(sysm, obs, x0, n + 1, checkpoint_every=None)
+        tr_tx = cl.ergodic_sums(sysm, obs, cl.step(sysm, x0), n, checkpoint_every=None)
         for t in (0.6, 0.9, 1.2):
             narrow = AngularCone(axis, t)
             wide = AngularCone(axis, t + eps)

@@ -3,66 +3,56 @@ limit directions, the running-minimum scheme, and cone-sojourn statistics,
 with a Brownian oracle for the diffusive comparisons."""
 
 from .errors import (CapExceeded, CocycleLabError, ConfigInvalid,
-                     MismatchError, MissingCheckpoint, NotInvertible,
-                     NotPositiveDefinite)
+                     MismatchError, MissingCheckpoint, NotInvertible)
 from .systems import (SystemSpec, SystemState, cat_map, doubling, iid_shift,
                       orbit_span, parse_system, rotation, sample_initial,
                       state_at, step, step_back)
 from .observables import (ObservableSpec, centered_indicator, coboundary_of,
-                          constant, iid_increment, parse_observable,
-                          verify_centered)
+                          iid_increment, parse_observable)
 from .engine import (CocycleTrace, cocycle_identity_check, ergodic_sums,
-                     evaluate_at, reverse_sums, skew_step)
-from .induce import (InducedTrace, SetSpec, bootstrap_ci, cylinder_positive,
-                     first_entry, induced_trace, interval, kac_statistic,
-                     parse_set, rect, return_time)
+                     evaluate_at, reverse_sums)
+from .induce import (InducedTrace, SetSpec, cylinder_positive, first_entry,
+                     induced_trace, interval, kac_statistic, parse_set, rect,
+                     return_time)
 from .cones import (AngularCone, BallWindow, Complement, Cone, HalfSpace,
                     Orthant, parse_cone)
 from .directions import (DirectionEstimate, DirectionHistogram, SphereMesh,
-                         antipodal_closure, cone_visit_frequency,
-                         default_m_ladder, direction_scan,
-                         direction_set_estimate, directional_process,
-                         essential_probe, hist_from_trace, hist_from_values,
-                         is_arc_connected, make_mesh, recurrence_diagnostic)
+                         antipodal_closure, default_m_ladder, direction_scan,
+                         direction_set_estimate, hist_from_trace,
+                         hist_from_values, make_mesh, recurrence_diagnostic)
 from .filling import (MinProcess, classify_oscillation, classify_series,
-                      decomposition_residual, heavy_tail_witness, kesten_rate,
-                      min_process)
+                      kesten_rate, min_process)
 from .sojourn import (SojournSeries, ball_visit_frequency, dyadic_grid,
-                      interpolated_value, sojourn_series, tau, tau_discrete)
-from .brownian import (BrownianPath, arcsine_cdf, arcsine_ks, clt_reference,
-                       discretization_check, positivity_check,
-                       scale_invariance_check, simulate, tau_brownian,
-                       tau_samples, wilson_interval)
+                      sojourn_series, tau, tau_discrete)
+from .brownian import (arcsine_cdf, arcsine_ks, positivity_check,
+                       scale_invariance_check, tau_samples, wilson_interval)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded", "CocycleLabError", "ConfigInvalid", "MismatchError",
-    "MissingCheckpoint", "NotInvertible", "NotPositiveDefinite",
+    "MissingCheckpoint", "NotInvertible",
     "SystemSpec", "SystemState", "cat_map", "doubling", "iid_shift",
     "orbit_span", "parse_system", "rotation", "sample_initial", "state_at",
     "step", "step_back",
-    "ObservableSpec", "centered_indicator", "coboundary_of", "constant",
-    "iid_increment", "parse_observable", "verify_centered",
+    "ObservableSpec", "centered_indicator", "coboundary_of",
+    "iid_increment", "parse_observable",
     "CocycleTrace", "cocycle_identity_check", "ergodic_sums", "evaluate_at",
-    "reverse_sums", "skew_step",
-    "InducedTrace", "SetSpec", "bootstrap_ci", "cylinder_positive",
-    "first_entry", "induced_trace", "interval", "kac_statistic", "parse_set",
-    "rect", "return_time",
+    "reverse_sums",
+    "InducedTrace", "SetSpec", "cylinder_positive", "first_entry",
+    "induced_trace", "interval", "kac_statistic", "parse_set", "rect",
+    "return_time",
     "AngularCone", "BallWindow", "Complement", "Cone", "HalfSpace", "Orthant",
     "parse_cone",
     "DirectionEstimate", "DirectionHistogram", "SphereMesh",
-    "antipodal_closure", "cone_visit_frequency", "default_m_ladder",
-    "direction_scan", "direction_set_estimate", "directional_process",
-    "essential_probe", "hist_from_trace", "hist_from_values",
-    "is_arc_connected", "make_mesh", "recurrence_diagnostic",
-    "MinProcess", "classify_oscillation", "classify_series",
-    "decomposition_residual", "heavy_tail_witness", "kesten_rate",
+    "antipodal_closure", "default_m_ladder", "direction_scan",
+    "direction_set_estimate", "hist_from_trace", "hist_from_values",
+    "make_mesh", "recurrence_diagnostic",
+    "MinProcess", "classify_oscillation", "classify_series", "kesten_rate",
     "min_process",
-    "SojournSeries", "ball_visit_frequency", "dyadic_grid",
-    "interpolated_value", "sojourn_series", "tau", "tau_discrete",
-    "BrownianPath", "arcsine_cdf", "arcsine_ks", "clt_reference",
-    "discretization_check", "positivity_check", "scale_invariance_check",
-    "simulate", "tau_brownian", "tau_samples", "wilson_interval",
+    "SojournSeries", "ball_visit_frequency", "dyadic_grid", "sojourn_series",
+    "tau", "tau_discrete",
+    "arcsine_cdf", "arcsine_ks", "positivity_check", "scale_invariance_check",
+    "tau_samples", "wilson_interval",
     "__version__",
 ]

@@ -25,7 +25,7 @@ from . import induce as ind
 from . import sojourn as so
 from . import systems as sy
 from .cones import HalfSpace
-from .engine import CocycleTrace, cocycle_identity_check, ergodic_sums
+from .engine import cocycle_identity_check, ergodic_sums
 from .observables import (centered_indicator, coboundary_of, iid_increment,
                           parse_observable)
 

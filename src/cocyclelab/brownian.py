@@ -1,4 +1,4 @@
-"""Brownian-motion reference: paths, cone occupation, analytic oracles.
+"""Brownian-motion reference: cone-occupation samplers, analytic oracles.
 
 These samplers are the independent yardstick for the walk statistics:
 occupation fractions of cones under Brownian motion obey the Levy
@@ -9,12 +9,11 @@ with the same exact segment-crossing kernels used for walk paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cones import Cone, HalfSpace
-from .errors import ConfigInvalid, NotPositiveDefinite
+from .errors import ConfigInvalid
 
 _TAG = 179          # seed-space namespace for Brownian streams
 ROW_BLOCK = 1 << 16  # path steps drawn, summed and reduced at a time
@@ -25,38 +24,9 @@ def _rng(seed):
     return np.random.default_rng(key)
 
 
-@dataclass
-class BrownianPath:
-    d: int
-    t: float
-    h: float
-    seed: object
-    values: np.ndarray          # (steps+1, d), starts at the origin
-
-    @property
-    def steps(self) -> int:
-        return len(self.values) - 1
-
-
 def _check_step(t: float, h: float) -> None:
     if h <= 0 or t <= 0 or h > t / 100.0:
         raise ConfigInvalid("h", "need 0 < h <= t/100")
-
-
-def simulate(d: int, t: float, h: float, seed) -> BrownianPath:
-    """Euler path with exact N(0, h I) increments; deterministic per seed."""
-    _check_step(t, h)
-    steps = int(round(t / h))
-    inc = _rng(seed).standard_normal((steps, d)) * np.sqrt(h)
-    values = np.zeros((steps + 1, d))
-    np.cumsum(inc, axis=0, out=values[1:])
-    return BrownianPath(d, t, h, seed, values)
-
-
-def tau_brownian(path: BrownianPath, cone: Cone) -> float:
-    """Occupation fraction tau_C(t)/t of the piecewise-linear path."""
-    V = path.values
-    return float(cone.segment_fraction(V[:-1], V[1:]).mean())
 
 
 def tau_samples(cone: Cone, t: float, h: float, samples: int, seed: int = 0,
@@ -163,41 +133,3 @@ def positivity_check(cone: Cone, alpha: float, samples: int, seed: int = 0,
     taus = tau_samples(cone, t, h, samples, seed=seed)
     k = int((taus > 1.0 - alpha).sum())
     return k / samples, wilson_interval(k, samples)
-
-
-def clt_reference(d: int, gamma, seed: int = 0):
-    """Sampler of centered Gaussians with covariance gamma.
-
-    Raises NotPositiveDefinite unless gamma is symmetric positive
-    definite. The returned callable maps a count to an (n, d) array.
-    """
-    G = np.asarray(gamma, dtype=np.float64)
-    if G.shape != (d, d) or not np.allclose(G, G.T, atol=1e-12):
-        raise NotPositiveDefinite("covariance must be a symmetric (d, d) matrix")
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("covariance is not positive definite") from None
-    rng = _rng((seed, 7))
-
-    def sample(n: int) -> np.ndarray:
-        return rng.standard_normal((n, d)) @ L.T
-
-    return sample
-
-
-def discretization_check(cone: Cone, h: float, samples: int, seed: int = 0,
-                         t: float = 1.0) -> float:
-    """|mean tau at step h - mean tau at step h/2| on coupled paths.
-
-    The coarse path is the fine path at every second vertex, so the
-    difference isolates the discretization bias.
-    """
-    fine_mean = 0.0
-    coarse_mean = 0.0
-    for i in range(samples):
-        path = simulate(cone.d, t, h / 2.0, (seed, i))
-        coarse = BrownianPath(cone.d, t, h, (seed, i), path.values[::2].copy())
-        fine_mean += tau_brownian(path, cone)
-        coarse_mean += tau_brownian(coarse, cone)
-    return abs(fine_mean - coarse_mean) / samples

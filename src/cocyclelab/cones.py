@@ -18,9 +18,15 @@ For the last two, a segment with no candidate strictly inside (0, 1)
 takes one membership test, at its midpoint. Only crossing segments
 (about 0.1% of a long walk's) split [0,1] at their sorted candidates and
 test each piece's midpoint with the exact (unsquared) membership, so
-spurious roots and tangencies drop out without bisection. Angular
-fractions of segments whose squared coordinates overflow (about 1e154
-and above) come out NaN, or 0 where the norm itself overflows.
+spurious roots and tangencies drop out without bisection.
+
+Membership is positively homogeneous. The angular closed forms square
+coordinates, so the angular cone first moves each nonzero row (a point,
+or a segment's two ends together) whose largest |coordinate| lies
+outside BAND into [0.5, 1) by an exact power of two; other rows are
+taken as given. The ball window is not homogeneous and squares
+coordinates as given: its fractions hold up to coordinates of about
+1e154.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ import numpy as np
 from .errors import ConfigInvalid
 
 ROWS = 1 << 14          # segments per angular-kernel block: temporaries stay in cache
+BAND = (2.0 ** -40, 2.0 ** 200)     # row scales the angular kernel takes as given
 
 
 class Cone:
@@ -50,6 +57,21 @@ def _norm(V) -> np.ndarray:
     # np.add.reduce takes for d <= 7 (same bytes), without its per-row cost
     V = np.asarray(V)
     return np.sqrt(sum(V[..., k] * V[..., k] for k in range(V.shape[-1])))
+
+
+def _into_band(*Ps):
+    # rows of Ps taken together: a nonzero row whose largest |coordinate| lies
+    # outside BAND is scaled into [0.5, 1) by a power of two (ldexp, exact);
+    # every other row is left as given
+    m = np.zeros(Ps[0].shape[:-1])
+    for P in Ps:
+        for k in range(P.shape[-1]):
+            np.maximum(m, np.abs(P[..., k]), out=m)
+    out = (m > BAND[1]) | ((m < BAND[0]) & (m > 0.0))
+    if not out.any():
+        return Ps
+    e = np.where(out, np.frexp(m)[1], 0)[..., None]
+    return tuple(np.ldexp(P, -e) for P in Ps)
 
 
 def _midpoint_fractions(cone: Cone, P0, P1, ts) -> np.ndarray:
@@ -146,7 +168,8 @@ class AngularCone(Cone):
         self.d = len(u)
 
     def contains(self, V):
-        return np.asarray(V) @ self.axis > self.cos_threshold * _norm(V)
+        (V,) = _into_band(np.asarray(V))
+        return V @ self.axis > self.cos_threshold * _norm(V)
 
     def segment_fraction(self, P0, P1):
         out = np.empty(len(P0))
@@ -155,6 +178,7 @@ class AngularCone(Cone):
         return out
 
     def _fractions(self, P0, P1):
+        P0, P1 = _into_band(P0, P1)
         c2 = self.cos_threshold * self.cos_threshold
         q = P1 - P0
         pu = P0 @ self.axis
@@ -229,25 +253,31 @@ def parse_cone(text: str, d: int | None = None) -> Cone:
 
     "halfspace:0,1" (normal), "orthant:1,-1,0" (signs),
     "angular:u1,..,ud,ap" (axis then aperture), "full:d" (whole space);
-    a leading "!" takes the complement.
+    a leading "!" takes the complement. Given d, a cone of another
+    dimension is rejected ("full:" alone takes d).
     """
     if text.startswith("!"):
         return parse_cone(text[1:], d).complement()
     kind, _, rest = text.partition(":")
+    cone = None
     try:
         nums = [float(v) for v in rest.split(",")] if rest else []
         if kind == "halfspace":
-            return HalfSpace(nums)
-        if kind == "orthant":
-            return Orthant(nums)
-        if kind == "angular":
+            cone = HalfSpace(nums)
+        elif kind == "orthant":
+            cone = Orthant(nums)
+        elif kind == "angular":
             if len(nums) < 3:
                 raise ConfigInvalid("cone", "angular needs d axis components + aperture")
-            return AngularCone(nums[:-1], nums[-1])
-        if kind == "full":
-            return Orthant([0.0] * int(nums[0] if nums else (d or 2)))
+            cone = AngularCone(nums[:-1], nums[-1])
+        elif kind == "full":
+            cone = Orthant([0.0] * int(nums[0] if nums else (d or 2)))
     except ConfigInvalid:
         raise
     except (ValueError, TypeError):
         pass
-    raise ConfigInvalid("cone", f"cannot parse cone {text!r}")
+    if cone is None:
+        raise ConfigInvalid("cone", f"cannot parse cone {text!r}")
+    if d is not None and cone.d != d:
+        raise ConfigInvalid("cone", f"cone {text!r} has dimension {cone.d}, need {d}")
+    return cone

@@ -23,7 +23,6 @@ import numpy as np
 
 from .engine import CocycleTrace, ergodic_sums
 from .errors import ConfigInvalid
-from .induce import SetSpec, first_entry, induced_trace
 from .observables import ObservableSpec
 from .sojourn import dyadic_grid
 from .systems import SystemSpec, sample_initial
@@ -56,18 +55,6 @@ class SphereMesh:
             return (np.arange(self.K) + self.K // 2) % self.K
         return self.assign(-self.centers)
 
-    def adjacency(self) -> list:
-        """Neighbor lists; d=2 is the arc ring, d>=3 a nearest-angle graph."""
-        if self.d == 1:
-            return [[], []]
-        if self.d == 2:
-            return [[(k - 1) % self.K, (k + 1) % self.K] for k in range(self.K)]
-        cos = self.centers @ self.centers.T
-        np.fill_diagonal(cos, -2.0)
-        nearest = np.max(cos, axis=1).min()      # widest nearest-neighbor gap
-        cut = math.cos(1.6 * math.acos(min(1.0, nearest)))
-        return [list(np.flatnonzero(cos[k] >= cut)) for k in range(self.K)]
-
 
 def make_mesh(d: int, K: int = DEFAULT_ARCS) -> SphereMesh:
     if d < 1:
@@ -88,19 +75,6 @@ def make_mesh(d: int, K: int = DEFAULT_ARCS) -> SphereMesh:
         centers = np.column_stack([r * np.cos(th), r * np.sin(th), z])
         return SphereMesh(3, K, centers)
     raise ConfigInvalid("mesh", "meshes are provided for d <= 3")
-
-
-def directional_process(trace: CocycleTrace):
-    """Unit vectors S_n/||S_n|| for n >= 1 with S_n != 0.
-
-    Returns (units, norms, skipped) where skipped counts the exact-zero
-    entries that were left out.
-    """
-    V = trace.values[1:]
-    nrm = trace.norms[1:]
-    nz = nrm > 0.0
-    U = V[nz] / nrm[nz][:, None]
-    return U, nrm[nz], int(len(nrm) - nz.sum())
 
 
 @dataclass
@@ -188,18 +162,6 @@ def direction_set_estimate(hist: DirectionHistogram,
     return DirectionEstimate(cells, quorum, hist)
 
 
-def cone_visit_frequency(trace: CocycleTrace, mesh: SphereMesh,
-                         cell_mask: np.ndarray) -> np.ndarray:
-    """Running frequency of direction visits to a set of mesh cells.
-
-    Zero partial sums are skipped (not counted in the denominator).
-    """
-    U, _, _ = directional_process(trace)
-    member = np.asarray(cell_mask, dtype=bool)[mesh.assign(U)]
-    n = np.arange(1, len(member) + 1)
-    return np.cumsum(member) / n
-
-
 @dataclass
 class RecurrenceReport:
     window_minima: np.ndarray         # min ||S_n|| per dyadic window
@@ -227,43 +189,6 @@ def recurrence_diagnostic(trace: CocycleTrace, epsilon: float) -> RecurrenceRepo
     return RecurrenceReport(mins, verdict, epsilon)
 
 
-@dataclass
-class ProbeReport:
-    """Intersection of induced-cocycle direction estimates over several sets.
-
-    An upper bound probe for directions that persist under inducing;
-    not a decision procedure.
-    """
-
-    cells: np.ndarray
-    per_set: list
-    thresholds: np.ndarray
-    quorum: float
-
-
-def essential_probe(system: SystemSpec, obs: ObservableSpec, sets,
-                    thresholds, mesh: SphereMesh, n_returns: int,
-                    seeds, cap: int = 10_000_000,
-                    quorum: float = 0.9) -> ProbeReport:
-    """Estimate directions surviving induction on every given set."""
-    sets = list(sets)
-    if not sets:
-        raise ConfigInvalid("sets", "essential probe needs at least one set")
-    estimates = []
-    for B in sets:
-        h = DirectionHistogram.empty(mesh, thresholds)
-        for s in seeds:
-            st = first_entry(system, B, sample_initial(system, s), cap)
-            it = induced_trace(system, obs, B, st, n_returns, cap)
-            h = h.merge(hist_from_values(it.values[1:], mesh, thresholds))
-        estimates.append(direction_set_estimate(h, quorum))
-    mask = estimates[0].mask
-    for est in estimates[1:]:
-        mask &= est.mask
-    return ProbeReport(np.flatnonzero(mask), estimates,
-                       np.asarray(thresholds, dtype=np.float64), quorum)
-
-
 def antipodal_closure(mesh: SphereMesh, mask: np.ndarray) -> np.ndarray:
     """Cells union the cells of their antipodes."""
     amap = mesh.antipode_map()
@@ -272,27 +197,9 @@ def antipodal_closure(mesh: SphereMesh, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_arc_connected(mesh: SphereMesh, mask: np.ndarray) -> bool:
-    """True when the marked cells form one connected patch (or none)."""
-    mask = np.asarray(mask, dtype=bool)
-    cells = np.flatnonzero(mask)
-    if len(cells) <= 1:
-        return True
-    adj = mesh.adjacency()
-    seen = {int(cells[0])}
-    stack = [int(cells[0])]
-    while stack:
-        k = stack.pop()
-        for nb in adj[k]:
-            if mask[nb] and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(cells)
-
-
 def direction_scan(system: SystemSpec, obs: ObservableSpec, N: int, seeds,
                    mesh: SphereMesh | None = None, thresholds=None,
-                   quorum: float = 0.9, checkpoint_every: int = 1 << 20):
+                   quorum: float = 0.9):
     """End-to-end estimate over fresh trajectories.
 
     When thresholds are omitted, the ladder is scaled to the median
@@ -307,13 +214,13 @@ def direction_scan(system: SystemSpec, obs: ObservableSpec, N: int, seeds,
         # so at most one full trace is ever held in memory
         for i, s in enumerate(seeds):
             tr = ergodic_sums(system, obs, sample_initial(system, s), N,
-                              checkpoint_every)
+                              checkpoint_every=None)
             terms[i] = tr.norms[-1]
         thresholds = default_m_ladder(float(np.median(terms)))
     hist = None
     for i, s in enumerate(seeds):
         tr = ergodic_sums(system, obs, sample_initial(system, s), N,
-                          checkpoint_every)
+                          checkpoint_every=None)
         terms[i] = tr.norms[-1]
         h = hist_from_trace(tr, mesh, thresholds)
         hist = h if hist is None else hist.merge(h)

@@ -1,4 +1,4 @@
-"""Ergodic sums, the cocycle chain rule, skew products, reverse cocycles.
+"""Ergodic sums, the cocycle chain rule, reverse cocycles.
 
 A trace holds the partial sums S_n = sum_{k<n} phi(T^k x) for n = 0..N
 as an (N+1, d) array. Accumulation runs in extended precision
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MissingCheckpoint, NotInvertible
 from .observables import ObservableSpec
-from .systems import SystemSpec, SystemState, orbit_span, state_at
+from .systems import SystemSpec, SystemState, orbit_span
 
 BLOCK = 1 << 16
 
@@ -129,13 +129,6 @@ def evaluate_at(system: SystemSpec, obs: ObservableSpec, state: SystemState) -> 
     """phi at a single phase point."""
     data = orbit_span(system, state, 0, obs.lookahead)
     return obs.evaluate(data, 0, 0)[0]
-
-
-def skew_step(system: SystemSpec, obs: ObservableSpec,
-              point: tuple[SystemState, np.ndarray]) -> tuple[SystemState, np.ndarray]:
-    """One step of the skew product (x, y) -> (Tx, y + phi(x))."""
-    state, y = point
-    return state_at(system, state, 1), np.asarray(y, dtype=np.float64) + evaluate_at(system, obs, state)
 
 
 def reverse_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,

@@ -29,10 +29,6 @@ class MismatchError(CocycleLabError):
     """Two independent computations of the same quantity disagree."""
 
 
-class NotPositiveDefinite(CocycleLabError):
-    """Covariance matrix is not symmetric positive definite."""
-
-
 class ConfigInvalid(CocycleLabError):
     """Configuration rejected before running; names the offending field."""
 

@@ -74,12 +74,6 @@ def min_process(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
     return MinProcess(state0, N, m, m_shift, float(S[1]))
 
 
-def decomposition_residual(system: SystemSpec, obs: ObservableSpec,
-                           state0: SystemState, N: int) -> float:
-    """|phi(x) - [m_N^-(Tx) - m_{N+1}^-(x) + m_{N+1}^+(x)]|; ~0 by algebra."""
-    return min_process(system, obs, state0, N).decomposition_residual()
-
-
 def classify_series(S: np.ndarray, level: float | None = None) -> str:
     """Growth label for one partial-sum series S_1..S_N (index 0 ignored).
 
@@ -144,13 +138,3 @@ def kesten_rate(system: SystemSpec, obs: ObservableSpec, seeds,
         half = len(mins) // 2
         out[i] = min(mins[half:])
     return out
-
-
-def heavy_tail_witness() -> str:
-    """Observable text for the strict-subset demonstration on a rotation.
-
-    The transfer part is zero on [0, 1/2) and heavy near 1, so sums
-    induced on [0, 1/2) reduce to the positive return-time drift while
-    the full-orbit sums take arbitrarily deep negative dips.
-    """
-    return "cobdrift(h=-pow(floor(1/(1-frac)),2)*indicator(0.5,1),c=[1])"

@@ -215,14 +215,3 @@ def kac_statistic(system: SystemSpec, B: SetSpec, n_returns: int, seeds,
         rt, _ = _scan_returns(system, B, st, n_returns, cap)
         per_seed[i] = rt[-1] / n_returns
     return float(per_seed.mean()), per_seed
-
-
-def bootstrap_ci(per_seed: np.ndarray, n_boot: int = 2000, level: float = 0.95,
-                 seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean of per-seed statistics."""
-    rng = np.random.default_rng((11, seed))
-    n = len(per_seed)
-    idx = rng.integers(0, n, size=(n_boot, n))
-    means = per_seed[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
-    return (float(np.quantile(means, alpha)), float(np.quantile(means, 1.0 - alpha)))

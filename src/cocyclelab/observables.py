@@ -18,13 +18,12 @@ checked at parse time.
 from __future__ import annotations
 
 import ast
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigInvalid
-from .systems import LAWS, OrbitData, SystemSpec, SystemState, orbit_span, sample_initial
+from .systems import LAWS, OrbitData, SystemSpec
 
 
 class Node:
@@ -336,12 +335,6 @@ def parse_observable(text: str, centered: bool = False) -> ObservableSpec:
     return ObservableSpec(text, root, root.dim, root.lookahead, centered)
 
 
-def constant(c) -> ObservableSpec:
-    c = np.atleast_1d(np.asarray(c, dtype=np.float64))
-    text = repr(float(c[0])) if len(c) == 1 else "[" + ",".join(repr(float(v)) for v in c) + "]"
-    return parse_observable(text)
-
-
 def centered_indicator(a: float, b: float) -> ObservableSpec:
     """1_[a,b) minus its mean b-a; centered by construction."""
     return parse_observable(f"indicator({a!r},{b!r})-{b - a!r}", centered=True)
@@ -361,25 +354,3 @@ def coboundary_of(psi: ObservableSpec, drift=None) -> ObservableSpec:
     return parse_observable(
         f"cobdrift(h={psi.text},c={ctext})",
         centered=bool(np.all(drift == 0.0)))
-
-
-def verify_centered(system: SystemSpec, obs: ObservableSpec, total: int = 100_000,
-                    traces: int = 10, seed: int = 0):
-    """Monte Carlo check that the observable has mean zero.
-
-    Averages phi over `traces` independent orbits (total/traces steps
-    each) and tests |grand mean| <= 3 sigma, with sigma taken across the
-    independent per-orbit means so orbit correlation cannot understate
-    the error bar. Returns (mean, sigma, ok).
-    """
-    obs.validate_for(system)
-    per = max(total // traces, 1)
-    means = np.empty((traces, obs.d))
-    for i in range(traces):
-        st = sample_initial(system, seed * traces + i + 1)
-        data = orbit_span(system, st, 0, per - 1 + obs.lookahead)
-        means[i] = obs.evaluate(data, 0, per - 1).mean(axis=0)
-    grand = means.mean(axis=0)
-    sigma = means.std(axis=0, ddof=1) / math.sqrt(traces)
-    ok = bool(np.all(np.abs(grand) <= 3.0 * np.maximum(sigma, 1e-15)))
-    return grand, sigma, ok

@@ -18,17 +18,6 @@ from .engine import CocycleTrace
 from .errors import ConfigInvalid
 
 
-def interpolated_value(trace: CocycleTrace, n: int, s) -> np.ndarray:
-    """W_n(s); vectorized over s. s = k/n returns S_k exactly."""
-    P0, P1 = _segments(trace, n)
-    s = np.asarray(s, dtype=np.float64)
-    if np.any((s < 0.0) | (s > 1.0)):
-        raise ConfigInvalid("s", "need 0 <= s <= 1")
-    k = np.minimum((n * s).astype(np.int64), n - 1)
-    frac = n * s - k
-    return P0[k] + frac[..., None] * (P1[k] - P0[k])
-
-
 def _segments(trace: CocycleTrace, n: int):
     if not 1 <= n <= trace.N:
         raise ConfigInvalid("n", "need 1 <= n <= N")

@@ -1,6 +1,7 @@
-"""Reference diffusion: simulation, occupation-time laws, CLT sampler."""
+"""Reference diffusion: simulated paths and occupation-time laws."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,22 +10,68 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import Complement, HalfSpace
-from cocyclelab.brownian import ks_2samp_statistic, ks_statistic, normal_cdf
+from cocyclelab.brownian import _check_step, _rng, ks_2samp_statistic, ks_statistic, normal_cdf
 
 HALF_LINE = HalfSpace([1.0])
 
 
+@dataclass
+class BrownianPath:
+    d: int
+    t: float
+    h: float
+    seed: object
+    values: np.ndarray          # (steps+1, d), starts at the origin
+
+    @property
+    def steps(self) -> int:
+        return len(self.values) - 1
+
+
+def simulate(d: int, t: float, h: float, seed) -> BrownianPath:
+    """Euler path with exact N(0, h I) increments, from the sampler's streams."""
+    _check_step(t, h)
+    steps = int(round(t / h))
+    inc = _rng(seed).standard_normal((steps, d)) * np.sqrt(h)
+    values = np.zeros((steps + 1, d))
+    np.cumsum(inc, axis=0, out=values[1:])
+    return BrownianPath(d, t, h, seed, values)
+
+
+def tau_brownian(path: BrownianPath, cone) -> float:
+    """Occupation fraction tau_C(t)/t of the piecewise-linear path."""
+    V = path.values
+    return float(cone.segment_fraction(V[:-1], V[1:]).mean())
+
+
+def discretization_check(cone, h: float, samples: int, seed: int = 0,
+                         t: float = 1.0) -> float:
+    """|mean tau at step h - mean tau at step h/2| on coupled paths.
+
+    The coarse path is the fine path at every second vertex, so the
+    difference isolates the discretization bias.
+    """
+    fine_mean = 0.0
+    coarse_mean = 0.0
+    for i in range(samples):
+        path = simulate(cone.d, t, h / 2.0, (seed, i))
+        coarse = BrownianPath(cone.d, t, h, (seed, i), path.values[::2].copy())
+        fine_mean += tau_brownian(path, cone)
+        coarse_mean += tau_brownian(coarse, cone)
+    return abs(fine_mean - coarse_mean) / samples
+
+
 def test_simulate_moments():
-    ends = np.array([cl.simulate(1, 2.0, 1e-2, (9, i)).values[-1, 0]
+    ends = np.array([simulate(1, 2.0, 1e-2, (9, i)).values[-1, 0]
                      for i in range(10_000)])
     assert 0.95 <= ends.var() / 2.0 <= 1.05
     assert abs(ends.mean()) <= 3.0 * np.sqrt(2.0 / 10_000)
 
 
 def test_simulate_is_deterministic():
-    a = cl.simulate(2, 1.0, 1e-2, 42)
-    b = cl.simulate(2, 1.0, 1e-2, 42)
-    c = cl.simulate(2, 1.0, 1e-2, 43)
+    a = simulate(2, 1.0, 1e-2, 42)
+    b = simulate(2, 1.0, 1e-2, 42)
+    c = simulate(2, 1.0, 1e-2, 43)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert a.steps == 100 and a.values.shape == (101, 2)
@@ -32,9 +79,9 @@ def test_simulate_is_deterministic():
 
 def test_step_size_guard():
     with pytest.raises(cl.ConfigInvalid):
-        cl.simulate(1, 1.0, 0.02, 0)   # h > t/100
+        simulate(1, 1.0, 0.02, 0)   # h > t/100
     with pytest.raises(cl.ConfigInvalid):
-        cl.simulate(1, 1.0, -1e-3, 0)
+        simulate(1, 1.0, -1e-3, 0)
     # the sampler checks the same bound, before any step count is formed
     for t, h in [(1.0, 2.0), (1.0, 0.5), (1.0, 0.0), (-1.0, 1e-3)]:
         for cone in (HALF_LINE, cl.AngularCone([1.0, 0.0], 0.5)):
@@ -44,8 +91,8 @@ def test_step_size_guard():
 
 
 def test_tau_of_hand_path():
-    path = cl.BrownianPath(1, 2.0, 1.0, None, np.array([[0.0], [1.0], [-1.0]]))
-    assert cl.tau_brownian(path, HALF_LINE) == pytest.approx(0.75, abs=1e-12)
+    path = BrownianPath(1, 2.0, 1.0, None, np.array([[0.0], [1.0], [-1.0]]))
+    assert tau_brownian(path, HALF_LINE) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_full_space_occupation_is_total():
@@ -92,27 +139,8 @@ def test_positivity_alpha_guard():
         cl.positivity_check(HALF_LINE, 1.0, 100)
 
 
-def test_clt_reference_covariance():
-    sample = cl.clt_reference(2, np.eye(2), seed=0)
-    Z = sample(10_000)
-    cov = Z.T @ Z / 10_000
-    assert np.max(np.abs(cov - np.eye(2))) <= 0.05
-    skew = cl.clt_reference(2, [[2.0, 0.5], [0.5, 1.0]], seed=0)(50_000)
-    cov2 = skew.T @ skew / 50_000
-    assert np.max(np.abs(cov2 - [[2.0, 0.5], [0.5, 1.0]])) <= 0.1
-
-
-def test_clt_reference_rejects_bad_covariance():
-    with pytest.raises(cl.NotPositiveDefinite):
-        cl.clt_reference(2, [[1.0, 2.0], [2.0, 1.0]])   # indefinite
-    with pytest.raises(cl.NotPositiveDefinite):
-        cl.clt_reference(2, [[1.0, 0.3], [0.0, 1.0]])   # not symmetric
-    with pytest.raises(cl.NotPositiveDefinite):
-        cl.clt_reference(2, np.eye(3))                  # wrong shape
-
-
 def test_refining_the_grid_barely_moves_tau():
-    drift = cl.discretization_check(HalfSpace([0.0, 1.0]), 1e-3, 10_000, seed=3)
+    drift = discretization_check(HalfSpace([0.0, 1.0]), 1e-3, 10_000, seed=3)
     assert drift <= 0.005
 
 

@@ -102,6 +102,20 @@ def test_bad_cone_is_a_config_error(tmp_path, capsys):
     assert "cone" in capsys.readouterr().err
 
 
+def test_cone_of_another_dimension_fails_before_any_trace(tmp_path, capsys, monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a trace was built")
+
+    monkeypatch.setattr(cli, "ergodic_sums", no_trace)
+    out = tmp_path / "o"
+    code = cli.main(["sojourn", "--system", "iid-shift:gaussian:3",
+                     "--obs", "iid(gaussian, d=3)", "--cone", "angular:1,0,0.5",
+                     "--N", "64", "--jobs", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: cone: ")
+    assert not out.exists()
+
+
 def test_missing_parameter_names_the_field(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "system": {"kind": "doubling"},

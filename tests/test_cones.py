@@ -97,8 +97,13 @@ def test_parse_cone():
         with pytest.raises(cl.ConfigInvalid) as err:
             cl.parse_cone(bad)
         assert err.value.field == "cone"
-    # the d hint only sizes "full:"; it defaults the dimension rather than validating it
+    # d sizes "full:" and rejects a cone of any other dimension
     assert cl.parse_cone("full:", d=3).contains(np.ones((1, 3)))[0]
+    assert cl.parse_cone("!angular:1,0,0,0.5", d=3).d == 3
+    for bad in ("angular:1,0,0.5", "!halfspace:0,1", "orthant:1,1,1,1", "full:2"):
+        with pytest.raises(cl.ConfigInvalid) as err:
+            cl.parse_cone(bad, d=3)
+        assert err.value.field == "cone"
 
 
 def test_angular_aperture_bounds():
@@ -167,7 +172,19 @@ def test_halfspace_kernel_edge_rows_bit_for_bit():
 # The angular and orthant kernels as they were when every segment took the
 # full midpoint path: clip and sort the candidate crossings, then test the
 # midpoint of every piece. Segments that cross no boundary now take one
-# membership test instead, and the bytes must not move.
+# membership test instead, and the bytes must not move. The angular cone
+# first moves rows scaled outside [LO, HI] into [0.5, 1) by a power of
+# two, and so does its reference (band=False takes rows as given).
+
+LO, HI = 2.0 ** -40, 2.0 ** 200
+
+
+def into_band(*Ps):
+    # nonzero rows (of Ps taken together) scaled outside [LO, HI] -> [0.5, 1)
+    m = np.abs(np.concatenate(Ps, axis=-1)).max(axis=-1)
+    e = np.where((m > HI) | ((m < LO) & (m > 0.0)), np.frexp(m)[1], 0)
+    return tuple(np.ldexp(P, -e[..., None]) for P in Ps)
+
 
 def full_midpoint_fractions(contains, d, P0, P1, ts):
     n = len(P0)
@@ -181,8 +198,10 @@ def full_midpoint_fractions(contains, d, P0, P1, ts):
     return ((ts[:, 1:] - ts[:, :-1]) * inside).sum(axis=1)
 
 
-def norm_angular_contains(cone, V):
+def norm_angular_contains(cone, V, band=True):
     V = np.asarray(V)
+    if band:
+        (V,) = into_band(V)
     dots = V @ cone.axis
     nrms = np.linalg.norm(V, axis=-1)
     return dots > cone.cos_threshold * nrms
@@ -199,7 +218,9 @@ def angular_coefficients(cone, P0, P1):
     return qu * qu - c2 * qq, pu * qu - c2 * pq, pu * pu - c2 * pp
 
 
-def full_angular_fraction(cone, P0, P1):
+def full_angular_fraction(cone, P0, P1, band=True):
+    if band:
+        P0, P1 = into_band(P0, P1)
     A, Bh, C = angular_coefficients(cone, P0, P1)
     ts = np.full((len(P0), 2), 1.0)
     quad = np.abs(A) > 1e-30
@@ -211,7 +232,7 @@ def full_angular_fraction(cone, P0, P1):
     ts[ok, 1] = (-Bh[ok] + sq[ok]) / As[ok]
     lin = ~quad & (np.abs(Bh) > 1e-30)
     ts[lin, 0] = -0.5 * C[lin] / Bh[lin]
-    return full_midpoint_fractions(lambda V: norm_angular_contains(cone, V), cone.d,
+    return full_midpoint_fractions(lambda V: norm_angular_contains(cone, V, band), cone.d,
                                    P0, P1, ts)
 
 
@@ -297,15 +318,48 @@ def test_midpoint_kernels_match_full_path_on_edge_rows(d):
     S0, S1 = special_segments(d)
     P0 = np.concatenate([grid[i.ravel()], S0])
     P1 = np.concatenate([grid[j.ravel()], S1])
+    m = np.abs(np.concatenate([P0, P1], axis=1)).max(axis=1)
+    in_band = (m == 0.0) | ((m >= LO) & (m <= HI))
     lin_rows = 0
     for cone in KERNEL_CONES[d]:
         want = assert_matches_full_path(cone, P0, P1)
         if isinstance(cone, AngularCone):
-            assert np.isnan(want).any()                # overflow rows: NaN, as before
             with np.errstate(all="ignore"):
+                given = full_angular_fraction(cone, P0, P1, band=False)
                 A, Bh, _ = angular_coefficients(cone, P0, P1)
-            lin_rows += int(np.sum((np.abs(A) <= 1e-30) & (np.abs(Bh) > 1e-30)))
+            # rows as given overflow to NaN; moved rows do not, and in-band
+            # rows keep the bytes of the kernel without the band
+            assert np.isnan(given).any() and not np.isnan(want).any()
+            assert want[in_band].tobytes() == given[in_band].tobytes()
+            lin_rows += int(np.sum(in_band & (np.abs(A) <= 1e-30) & (np.abs(Bh) > 1e-30)))
     assert lin_rows > 0
+
+
+def test_angular_fractions_at_extreme_scales():
+    # membership is positively homogeneous: (s,-s) -> (s,s) spends the same
+    # fraction in the cone at every scale, where squares overflow or underflow too
+    cone = cl.parse_cone("angular:1,0,0.5")
+    true = np.sqrt(1.0 - 0.875 ** 2) / 0.875           # tan of the half-angle
+    for s in (1e-100, 1e77, 1e154, 1e200, 1e300, 1e-300, 5e-324):
+        got = cone.segment_fraction(np.array([[s, -s]]), np.array([[s, s]]))[0]
+        assert got == pytest.approx(true, abs=1e-15)
+    got = cone.segment_fraction(np.array([[2e154, 0.0]]), np.array([[3e154, 1.0]]))
+    assert got.tolist() == [1.0]
+    assert cone.contains(np.array([[3e154, 1.0], [1e-320, 0.0], [1e-320, 1e-320]])).tolist() \
+        == [True, True, False]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_angular_bytes_are_the_same_at_every_power_of_two(d):
+    rng = np.random.default_rng(20 + d)
+    P0, P1 = rng.standard_normal((2, 4000, d))
+    pts = np.concatenate([P0, P1])
+    for cone in KERNEL_CONES[d][:4]:
+        base, inside = cone.segment_fraction(P0, P1), cone.contains(pts)
+        for k in (-1000, -300, -60, -42, 100, 254, 300, 900):
+            c = 2.0 ** k
+            assert cone.segment_fraction(c * P0, c * P1).tobytes() == base.tobytes()
+            assert np.array_equal(cone.contains(c * pts), inside)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7])

@@ -26,7 +26,7 @@ def test_mesh_assignment():
 
 def test_unit_drift_fills_positive_cell():
     sysm = cl.doubling(seed=2)
-    tr = cl.ergodic_sums(sysm, cl.constant(1.0), cl.sample_initial(sysm, 0), 100,
+    tr = cl.ergodic_sums(sysm, cl.parse_observable("1.0"), cl.sample_initial(sysm, 0), 100,
                          checkpoint_every=None)
     mesh = dr.make_mesh(1)
     h = dr.hist_from_trace(tr, mesh, np.array([0.5, 10.0, 50.0]))
@@ -44,7 +44,7 @@ def test_zero_sums_are_skipped():
 
 def test_constant_vector_occupies_one_cell():
     sysm = cl.rotation("golden")
-    tr = cl.ergodic_sums(sysm, cl.constant([1.0, 2.0]), cl.sample_initial(sysm, 0),
+    tr = cl.ergodic_sums(sysm, cl.parse_observable("[1.0,2.0]"), cl.sample_initial(sysm, 0),
                          500, checkpoint_every=None)
     mesh = dr.make_mesh(2)
     h = dr.hist_from_trace(tr, mesh, np.array([1.0, 10.0, 100.0]))
@@ -87,6 +87,14 @@ def test_histogram_merge_is_monoidal():
     assert np.array_equal(empty.merge(h1).counts, h1.counts)
 
 
+def cell_visit_frequency(tr, mesh, mask):
+    # running frequency of directions S_n/||S_n|| in the masked cells;
+    # zero sums are skipped, not counted in the denominator
+    nz = tr.norms[1:] > 0.0
+    member = mask[mesh.assign(tr.values[1:][nz] / tr.norms[1:][nz][:, None])]
+    return np.cumsum(member) / np.arange(1, len(member) + 1)
+
+
 def test_half_circle_visit_frequency():
     # directions sweep the circle: most walks push the running upper-half
     # frequency above 0.8 at some point, yet the final fractions do not
@@ -95,18 +103,11 @@ def test_half_circle_visit_frequency():
     mask = mesh.centers[:, 1] > 0.0
     tail_max, final = [], []
     for s in range(20):
-        freq = cl.cone_visit_frequency(rademacher_trace(s, s, 100_000), mesh, mask)
+        freq = cell_visit_frequency(rademacher_trace(s, s, 100_000), mesh, mask)
         tail_max.append(float(np.max(freq[100:])))
         final.append(float(freq[-1]))
     assert np.mean(np.asarray(tail_max) >= 0.8) >= 0.75
     assert min(final) <= 0.1 and max(final) >= 0.9
-
-
-def test_whole_circle_frequency_is_one():
-    mesh = dr.make_mesh(2)
-    freq = cl.cone_visit_frequency(rademacher_trace(3, 3, 2000), mesh,
-                                   np.ones(mesh.K, dtype=bool))
-    assert np.all(freq == 1.0)
 
 
 def test_shift_stability_of_visited_cells():
@@ -134,7 +135,7 @@ def test_shift_stability_of_visited_cells():
 
 def test_recurrence_verdicts():
     sysm = cl.doubling(seed=1)
-    tr = cl.ergodic_sums(sysm, cl.constant(1.0), cl.sample_initial(sysm, 0), 1 << 10,
+    tr = cl.ergodic_sums(sysm, cl.parse_observable("1.0"), cl.sample_initial(sysm, 0), 1 << 10,
                          checkpoint_every=None)
     assert cl.recurrence_diagnostic(tr, 0.5).verdict == "transient-like"
 
@@ -175,49 +176,14 @@ def test_antipodal_closure():
     assert closed1.tolist() == [True, True]
 
 
-def test_arc_connectivity():
-    mesh = dr.make_mesh(2)
-    mask = np.zeros(mesh.K, dtype=bool)
-    assert cl.is_arc_connected(mesh, mask)
-    mask[[3, 4, 5]] = True
-    assert cl.is_arc_connected(mesh, mask)
-    mask[40] = True
-    assert not cl.is_arc_connected(mesh, mask)
-    assert cl.is_arc_connected(mesh, np.ones(mesh.K, dtype=bool))
-    wrap = np.zeros(mesh.K, dtype=bool)
-    wrap[[71, 0, 1]] = True
-    assert cl.is_arc_connected(mesh, wrap)
-
-
 def test_transient_top_cells_form_one_arc():
     # bounded steps and a transient-like verdict keep the far field in
     # one angular patch
     tr = rademacher_trace(8, 8, 200_000)
     mesh = dr.make_mesh(2)
     h = dr.hist_from_trace(tr, mesh, np.array([0.75 * float(tr.norms.max())]))
-    assert cl.is_arc_connected(mesh, h.visited_at(0))
-
-
-def test_essential_probe_whole_space_matches_plain_estimate():
-    sysm = cl.doubling(seed=2)
-    obs = cl.parse_observable("indicator(0.0,0.5)")
-    mesh = dr.make_mesh(1)
-    lad = np.array([10.0, 100.0, 1000.0])
-    tr = cl.ergodic_sums(sysm, obs, cl.sample_initial(sysm, 1), 20_000,
-                         checkpoint_every=None)
-    plain = cl.direction_set_estimate(dr.hist_from_trace(tr, mesh, lad))
-    probe = cl.essential_probe(sysm, obs, [cl.interval(0.0, 1.0)], lad, mesh,
-                               20_000, [1])
-    assert np.array_equal(probe.cells, plain.cells)
-    assert plain.cells.tolist() == [0]
-
-
-def test_essential_probe_coboundary_is_empty():
-    sysm = cl.rotation("golden")
-    phi = cl.coboundary_of(cl.parse_observable("sin2pi(frac)"))
-    probe = cl.essential_probe(sysm, phi, [cl.interval(0.0, 0.5)],
-                               np.array([5.0, 10.0]), dr.make_mesh(1), 2000, [0, 1])
-    assert probe.cells.size == 0
+    mask = h.visited_at(0)
+    assert mask.any() and np.sum(mask & ~np.roll(mask, 1)) <= 1   # one circular run
 
 
 def test_direction_scan_merges_like_manual_histograms():

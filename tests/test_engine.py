@@ -1,4 +1,4 @@
-"""Partial-sum engine: additivity, skew product, reverse sums, checkpoints."""
+"""Partial-sum engine: additivity, reverse sums, checkpoints."""
 
 import numpy as np
 import pytest
@@ -64,19 +64,8 @@ def test_additivity_brute_force_iid():
         assert resid <= 1e-9
 
 
-def test_skew_step_fiber():
-    sysm = cl.rotation("sqrt2m1")
-    obs = half_obs()
-    state = (rot_state(0.0), np.zeros(1))
-    for _ in range(3):
-        state = cl.skew_step(sysm, obs, state)
-    x3, y3 = state
-    assert x3.index == 3
-    assert y3[0] == pytest.approx(0.5, abs=1e-12)
-
-
 def test_reverse_sums_constant():
-    rev = cl.reverse_sums(cl.rotation("golden"), cl.constant(0.3), rot_state(0.5), 5)
+    rev = cl.reverse_sums(cl.rotation("golden"), cl.parse_observable("0.3"), rot_state(0.5), 5)
     assert np.allclose(rev.values[:, 0], -0.3 * np.arange(6), atol=1e-12)
 
 

@@ -13,13 +13,13 @@ def rot_state(x: float) -> cl.SystemState:
 
 
 def test_constant_positive_min_is_flat():
-    mp = cl.min_process(cl.rotation("golden"), cl.constant(0.3), rot_state(0.1), 50)
+    mp = cl.min_process(cl.rotation("golden"), cl.parse_observable("0.3"), rot_state(0.1), 50)
     assert np.all(mp.m[1:] == 0.3)
     assert mp.phi0 == 0.3
 
 
 def test_constant_negative_min_is_linear():
-    mp = cl.min_process(cl.rotation("golden"), cl.constant(-1.0), rot_state(0.1), 50)
+    mp = cl.min_process(cl.rotation("golden"), cl.parse_observable("-1.0"), rot_state(0.1), 50)
     assert np.array_equal(mp.m[1:], -np.arange(1.0, 52.0))
 
 
@@ -52,7 +52,8 @@ def test_decomposition_residual_vanishes():
     for obs in (cob, drift, cl.centered_indicator(0.0, 0.5)):
         for s in range(5):
             for N in (10, 100, 347):
-                resid = cl.decomposition_residual(rot, obs, cl.sample_initial(rot, s), N)
+                resid = cl.min_process(rot, obs, cl.sample_initial(rot, s),
+                                       N).decomposition_residual()
                 assert resid <= 1e-12
 
 
@@ -97,7 +98,7 @@ def test_kesten_rate_matches_drift():
 def test_heavy_tail_witness_separates_full_from_induced():
     # the transfer term is heavy near 1: full-orbit sums keep dipping
     # below any level, while sums induced on [0, 1/2) ride the drift up
-    wobs = cl.parse_observable(cl.heavy_tail_witness())
+    wobs = cl.parse_observable("cobdrift(h=-pow(floor(1/(1-frac)),2)*indicator(0.5,1),c=[1])")
     rot = cl.rotation("golden")
     B = cl.interval(0.0, 0.5)
     for s in range(6):

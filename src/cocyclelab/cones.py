@@ -53,9 +53,12 @@ class Cone:
 
 
 def _norm(V) -> np.ndarray:
-    # sqrt(v0*v0 + v1*v1 + ...) over the last axis, summed in the order
-    # np.add.reduce takes for d <= 7 (same bytes), without its per-row cost
+    # np.linalg.norm(V, axis=-1), bytes included: np.add.reduce sums d <= 7
+    # squares in order, which a column-wise sum repeats without its per-row
+    # cost; from d = 8 on it keeps eight partial sums, so it runs itself
     V = np.asarray(V)
+    if V.shape[-1] >= 8:
+        return np.sqrt(np.add.reduce(V * V, axis=-1))
     return np.sqrt(sum(V[..., k] * V[..., k] for k in range(V.shape[-1])))
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cones import _norm
 from .engine import CocycleTrace, ergodic_sums
 from .errors import ConfigInvalid
 from .observables import ObservableSpec
@@ -109,14 +110,18 @@ class DirectionHistogram:
         return self.counts[i] > 0
 
 
+def _cells_and_norms(values: np.ndarray, mesh: SphereMesh):
+    # cell and norm of every row with a positive norm
+    nrm = _norm(values)
+    nz = nrm > 0.0
+    return mesh.assign(values[nz] / nrm[nz][:, None]), nrm[nz]
+
+
 def hist_from_values(values: np.ndarray, mesh: SphereMesh,
                      thresholds) -> DirectionHistogram:
     """Histogram of one trajectory's partial-sum rows (row 0 may be 0)."""
     h = DirectionHistogram.empty(mesh, thresholds)
-    nrm = np.linalg.norm(values, axis=1)
-    nz = nrm > 0.0
-    cells = mesh.assign(values[nz] / nrm[nz][:, None])
-    nrm = nrm[nz]
+    cells, nrm = _cells_and_norms(values, mesh)
     for i, M in enumerate(h.thresholds):
         sel = nrm > M
         h.counts[i] = np.bincount(cells[sel], minlength=mesh.K)
@@ -129,6 +134,17 @@ def hist_from_values(values: np.ndarray, mesh: SphereMesh,
 def hist_from_trace(trace: CocycleTrace, mesh: SphereMesh,
                     thresholds) -> DirectionHistogram:
     return hist_from_values(trace.values[1:], mesh, thresholds)
+
+
+def cell_max_norms(values: np.ndarray, mesh: SphereMesh) -> np.ndarray:
+    """Largest norm of the rows in each cell, -inf where none falls.
+
+    Cell k is visited at threshold M exactly when entry k is above M.
+    """
+    cells, nrm = _cells_and_norms(values, mesh)
+    top = np.full(mesh.K, -np.inf)
+    np.maximum.at(top, cells, nrm)
+    return top
 
 
 def default_m_ladder(scale: float) -> np.ndarray:

@@ -12,13 +12,14 @@ second pass can restart mid-orbit without O(N) storage per restart;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cones import _norm
 from .errors import MissingCheckpoint, NotInvertible
 from .observables import ObservableSpec
-from .systems import SystemSpec, SystemState, orbit_span
+from .systems import SystemSpec, SystemState, orbit_span, state_in_span
 
 BLOCK = 1 << 16
 
@@ -44,11 +45,8 @@ class CocycleTrace:
     @property
     def norms(self) -> np.ndarray:
         if self._norms is None:
-            self._norms = np.linalg.norm(self.values, axis=1)
+            self._norms = _norm(self.values)
         return self._norms
-
-    def value(self, n: int) -> np.ndarray:
-        return self.values[n]
 
     def state_at_step(self, n: int) -> SystemState:
         """Orbit state at step n; n must sit on the checkpoint grid."""
@@ -66,15 +64,6 @@ def _accumulate(phi: np.ndarray, carry: np.ndarray) -> tuple[np.ndarray, np.ndar
     # extended-precision running sum; returns (float64 partial sums, new carry)
     s = np.cumsum(phi.astype(np.longdouble), axis=0) + carry
     return s.astype(np.float64), s[-1]
-
-
-def _checkpoint_state(system: SystemSpec, state0: SystemState, data, k: int) -> SystemState:
-    # build the state at relative step k from an already computed span row;
-    # rows are bitwise identical to step() iteration, so restarts reproduce
-    if system.kind == "iid-shift":
-        return replace(state0, index=state0.index + k)
-    coords = data.positions[data.rows(k, k)][0].copy()
-    return replace(state0, index=state0.index + k, coords=coords)
 
 
 def _grid(lo: int, hi: int, every: int | None) -> range:
@@ -101,7 +90,7 @@ def _sweep(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
         phi = obs.evaluate(data, lo, hi)
         values[done + 1:m + 1], carry = _accumulate(sign * phi[::sign], carry)
         for k in _grid(done + 1, m, checkpoint_every):
-            checkpoints[sign * k] = _checkpoint_state(system, state0, data, sign * k)
+            checkpoints[sign * k] = state_in_span(state0, data, sign * k)
     return values, checkpoints
 
 

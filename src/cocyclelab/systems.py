@@ -15,8 +15,9 @@ float orbits and a declared invertibility flag:
 - ``cat-map``: (x,y) -> (2x+y, x+y) mod 1 on the 2-torus, invertible.
 - ``iid-shift``: two-sided shift over i.i.d. increments in R^d
   (rademacher | gaussian | cauchy). The realized increment sequence is
-  reproducible in both directions from the trajectory key, cached in a
-  growable two-sided array.
+  reproducible in both directions from the trajectory key: each side is
+  one stream, drawn once, in order, and appended to as reads reach
+  further out.
 """
 from __future__ import annotations
 
@@ -106,56 +107,50 @@ class IncrementCache:
     """Growable two-sided cache of realized i.i.d. increments.
 
     Increment at absolute index i >= 0 is draw i of the forward stream;
-    index i < 0 is draw (-1-i) of the backward stream. Streams are
-    regenerated from the trajectory key on growth, so the realized
-    sequence is a pure function of (key, law, d) regardless of access
-    order.
+    index i < 0 is draw (-1-i) of the backward stream. Each stream is one
+    live generator seeded by the trajectory key: its rows are drawn once,
+    in order, and appended to the cache, so the realized sequence is a
+    pure function of (key, law, d) regardless of access order.
     """
 
     def __init__(self, key: tuple, law: str, d: int):
-        self.key = key
         self.law = law
         self.d = d
-        self._fwd = np.empty((0, d))
-        self._bwd = np.empty((0, d))
+        self._rngs = [np.random.default_rng((*key, stream)) for stream in (0, 1)]
+        self._rows = [np.empty((0, d)), np.empty((0, d))]
 
     def _draw(self, stream: int, count: int) -> np.ndarray:
-        rng = np.random.default_rng((*self.key, stream))
+        # the next `count` rows of a stream; chunked draws equal one-shot draws
+        rng = self._rngs[stream]
         d = self.d
         if self.law == "rademacher":
             flat = np.where(rng.random(count * d) < 0.5, -1.0, 1.0)
         elif self.law == "gaussian":
             flat = rng.standard_normal(count * d)
         else:
-            # cauchy: isotropic, gaussian vector over an independent |gaussian|.
-            # d+1 draws per row keeps the stream prefix-stable under regrowth.
+            # cauchy: isotropic, gaussian vector over an independent |gaussian|
             block = rng.standard_normal(count * (d + 1)).reshape(count, d + 1)
             return block[:, :d] / np.abs(block[:, d])[:, None]
         return flat.reshape(count, d)
 
-    def _ensure(self, side: str, n: int):
-        arr = self._fwd if side == "fwd" else self._bwd
-        if len(arr) >= n:
-            return
-        n2 = max(2 * len(arr), n, 1024)
-        fresh = self._draw(0 if side == "fwd" else 1, n2)
-        if side == "fwd":
-            self._fwd = fresh
-        else:
-            self._bwd = fresh
+    def _stream(self, stream: int, n: int) -> np.ndarray:
+        # at least the first n rows of a stream; growth is geometric, so
+        # the appends stay logarithmic in the length read
+        rows = self._rows[stream]
+        if len(rows) < n:
+            fresh = self._draw(stream, max(n, 2 * len(rows), 1024) - len(rows))
+            rows = self._rows[stream] = np.concatenate([rows, fresh])
+        return rows
 
     def get(self, lo: int, hi: int) -> np.ndarray:
-        """Increments for absolute indices lo..hi inclusive."""
-        if hi >= 0:
-            self._ensure("fwd", hi + 1)
+        """Increments for absolute indices lo..hi inclusive, as a fresh array."""
+        parts = []
         if lo < 0:
-            self._ensure("bwd", -lo)
-        idx = np.arange(lo, hi + 1)
-        out = np.empty((len(idx), self.d))
-        pos = idx >= 0
-        out[pos] = self._fwd[idx[pos]]
-        out[~pos] = self._bwd[-1 - idx[~pos]]
-        return out
+            # indices lo..min(hi, -1) are backward draws -1-lo down to -1-min(hi, -1)
+            parts.append(self._stream(1, -lo)[-1 - min(hi, -1):-lo][::-1])
+        if hi >= 0:
+            parts.append(self._stream(0, hi + 1)[max(lo, 0):hi + 1])
+        return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -297,23 +292,20 @@ def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int) -> Orbi
     return OrbitData(lo, hi, None, inc)
 
 
+def state_in_span(state: SystemState, data: OrbitData, k: int) -> SystemState:
+    """The state k steps from ``state``, read from row k of a span of its orbit."""
+    coords = None if data.positions is None else data.positions[k - data.lo].copy()
+    return replace(state, index=state.index + k, coords=coords)
+
+
 def state_at(system: SystemSpec, state: SystemState, k: int) -> SystemState:
     """The state k steps ahead of ``state`` (k may be negative if invertible)."""
     if k == 0:
         return state
-    if system.kind == "rotation":
-        idx = state.index + k
-        return replace(state, index=idx,
-                       coords=np.array([float(_rot_position(system, state.origin, idx))]))
-    if system.kind == "doubling":
-        if k < 0:
-            raise NotInvertible("doubling map is not invertible")
-        pos = _doubling_positions(state, k, k)
-        return replace(state, index=state.index + k, coords=np.array([pos[0]]))
-    if system.kind == "cat-map":
-        pos = _cat_positions(state, k, k)
-        return replace(state, index=state.index + k, coords=pos[0].copy())
-    return replace(state, index=state.index + k)
+    if system.position_dim is None:
+        # the shift has no position: moving the index draws no increments
+        return replace(state, index=state.index + k)
+    return state_in_span(state, orbit_span(system, state, k, k), k)
 
 
 def step(system: SystemSpec, state: SystemState) -> SystemState:
@@ -323,8 +315,6 @@ def step(system: SystemSpec, state: SystemState) -> SystemState:
 
 def step_back(system: SystemSpec, state: SystemState) -> SystemState:
     """One application of T^{-1}; raises NotInvertible on the doubling map."""
-    if not system.invertible:
-        raise NotInvertible("doubling map is not invertible")
     return state_at(system, state, -1)
 
 

@@ -191,6 +191,24 @@ def test_flags_without_config_file(tmp_path):
     assert len(rows) == 7
 
 
+def test_trace_builds_no_checkpoints(tmp_path, monkeypatch):
+    # the CSV never reads orbit states, so none are stored; the summary
+    # still echoes the configured grid
+    traces = []
+
+    def kept(*args, **kwargs):
+        traces.append(cocyclelab.ergodic_sums(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "ergodic_sums", kept)
+    out = tmp_path / "cp"
+    assert cli.main(["trace", "--system", "rotation:golden", "--obs", "frac-0.5",
+                     "--N", "3000", "--checkpoint-every", "1", "--out", str(out)]) == 0
+    tr, = traces
+    assert tr.checkpoints == {} and tr.checkpoint_every is None
+    assert json.loads((out / "summary.json").read_text())["checkpoint_every"] == 1
+
+
 # SHA-256 of (CSV, summary.json) per operation at small sizes. Only
 # rotation and iid-shift systems: their realized orbits are fixed, so
 # any change to these digests is a change to the output contract.

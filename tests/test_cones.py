@@ -362,7 +362,7 @@ def test_angular_bytes_are_the_same_at_every_power_of_two(d):
             assert np.array_equal(cone.contains(c * pts), inside)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 9, 12])
 def test_norm_helper_matches_numpy_norm(d):
     rng = np.random.default_rng(d)
     V = rng.standard_normal((4000, d)) * 10.0 ** rng.integers(-160, 160, size=(4000, d))

@@ -201,3 +201,20 @@ def test_direction_scan_merges_like_manual_histograms():
     want = cl.direction_set_estimate(merged)
     assert np.array_equal(est.cells, want.cells)
     assert len(terms) == 2
+
+
+@pytest.mark.parametrize("law, d", [("rademacher", 1), ("cauchy", 2), ("gaussian", 3)])
+def test_cell_max_norms_answer_every_rung(law, d):
+    # cell k is visited at rung M exactly when its largest norm is above M
+    sysm = cl.iid_shift(law, d=d, seed=40 + d)
+    mesh = dr.make_mesh(d, 72 if d == 2 else 30)
+    for s in range(4):
+        tr = cl.ergodic_sums(sysm, cl.iid_increment(law, d), cl.sample_initial(sysm, s),
+                             3000, checkpoint_every=None)
+        ladder = dr.default_m_ladder(float(tr.norms[-1]) + 1.0)
+        top = dr.cell_max_norms(tr.values[1:], mesh)
+        h = dr.hist_from_trace(tr, mesh, ladder)
+        for i, M in enumerate(ladder):
+            assert np.array_equal(top > M, h.counts[i] > 0)
+        assert np.all(top[h.counts[0] == 0] < ladder[0])
+    assert dr.cell_max_norms(np.zeros((5, d)), mesh).tolist() == [-np.inf] * mesh.K

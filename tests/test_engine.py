@@ -1,5 +1,7 @@
 """Partial-sum engine: additivity, reverse sums, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import engine as eng
+from cocyclelab.systems import SystemSpec, SystemState
 
 
 def rot_state(x: float) -> cl.SystemState:
@@ -163,7 +166,17 @@ def test_none_stores_no_checkpoints():
 
 
 # Forward and reverse sums share one block loop. These are the two loops it
-# replaced, kept verbatim as the reference for values and checkpoints.
+# replaced, kept verbatim as the reference for values and checkpoints, with
+# the per-kind checkpoint builder they called.
+
+def _checkpoint_state(system: SystemSpec, state0: SystemState, data, k: int) -> SystemState:
+    # build the state at relative step k from an already computed span row;
+    # rows are bitwise identical to step() iteration, so restarts reproduce
+    if system.kind == "iid-shift":
+        return replace(state0, index=state0.index + k)
+    coords = data.positions[data.rows(k, k)][0].copy()
+    return replace(state0, index=state0.index + k, coords=coords)
+
 
 def separate_forward_loop(system, obs, state0, N, checkpoint_every):
     values = np.zeros((N + 1, obs.d))
@@ -178,7 +191,7 @@ def separate_forward_loop(system, obs, state0, N, checkpoint_every):
         s = np.cumsum(phi.astype(np.longdouble), axis=0) + carry
         values[off + 1:hi + 2], carry = s.astype(np.float64), s[-1]
         for k in eng._grid(off + 1, hi + 1, checkpoint_every):
-            checkpoints[k] = eng._checkpoint_state(system, state0, data, k)
+            checkpoints[k] = _checkpoint_state(system, state0, data, k)
         off = hi + 1
     return values, checkpoints
 
@@ -195,7 +208,7 @@ def separate_reverse_loop(system, obs, state0, N, checkpoint_every):
         s = np.cumsum((-phi[::-1]).astype(np.longdouble), axis=0) + carry
         values[done + 1:m + 1], carry = s.astype(np.float64), s[-1]
         for k in eng._grid(done + 1, m, checkpoint_every):
-            checkpoints[-k] = eng._checkpoint_state(system, state0, data, -k)
+            checkpoints[-k] = _checkpoint_state(system, state0, data, -k)
         done = m
     return values, checkpoints
 

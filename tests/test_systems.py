@@ -133,3 +133,119 @@ def test_step_formulas(x):
                    ).coords[0] == pytest.approx((2.0 * x) % 1.0, abs=1e-12)
     assert cl.step(cl.rotation("golden"), rot_state(x)
                    ).coords[0] == pytest.approx((x + GOLDEN) % 1.0, abs=1e-12)
+
+
+# The cache before it appended: every growth drew its stream again from the
+# start, and reads gathered rows by index. Kept verbatim as the reference
+# for the realized increments.
+
+class RedrawingIncrementCache:
+    def __init__(self, key: tuple, law: str, d: int):
+        self.key = key
+        self.law = law
+        self.d = d
+        self._fwd = np.empty((0, d))
+        self._bwd = np.empty((0, d))
+
+    def _draw(self, stream: int, count: int) -> np.ndarray:
+        rng = np.random.default_rng((*self.key, stream))
+        d = self.d
+        if self.law == "rademacher":
+            flat = np.where(rng.random(count * d) < 0.5, -1.0, 1.0)
+        elif self.law == "gaussian":
+            flat = rng.standard_normal(count * d)
+        else:
+            # cauchy: isotropic, gaussian vector over an independent |gaussian|.
+            # d+1 draws per row keeps the stream prefix-stable under regrowth.
+            block = rng.standard_normal(count * (d + 1)).reshape(count, d + 1)
+            return block[:, :d] / np.abs(block[:, d])[:, None]
+        return flat.reshape(count, d)
+
+    def _ensure(self, side: str, n: int):
+        arr = self._fwd if side == "fwd" else self._bwd
+        if len(arr) >= n:
+            return
+        n2 = max(2 * len(arr), n, 1024)
+        fresh = self._draw(0 if side == "fwd" else 1, n2)
+        if side == "fwd":
+            self._fwd = fresh
+        else:
+            self._bwd = fresh
+
+    def get(self, lo: int, hi: int) -> np.ndarray:
+        """Increments for absolute indices lo..hi inclusive."""
+        if hi >= 0:
+            self._ensure("fwd", hi + 1)
+        if lo < 0:
+            self._ensure("bwd", -lo)
+        idx = np.arange(lo, hi + 1)
+        out = np.empty((len(idx), self.d))
+        pos = idx >= 0
+        out[pos] = self._fwd[idx[pos]]
+        out[~pos] = self._bwd[-1 - idx[~pos]]
+        return out
+
+
+_SPANS = st.tuples(st.integers(-6000, 6000), st.integers(0, 2500)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(cl.systems.LAWS), st.integers(1, 3), st.integers(0, 2**32),
+       st.lists(_SPANS, min_size=1, max_size=8))
+def test_increment_cache_reads_equal_the_redrawing_cache(law, d, seed, spans):
+    # any order of two-sided reads, across growth steps, gives the bytes the
+    # redrawing cache gave; each read is a fresh array, not a view of the cache
+    cache = cl.systems.IncrementCache((seed, 1), law, d)
+    ref = RedrawingIncrementCache((seed, 1), law, d)
+    for lo, hi in spans:
+        got = cache.get(lo, hi)
+        assert got.shape == (hi - lo + 1, d) and got.flags.c_contiguous
+        assert got.tobytes() == ref.get(lo, hi).tobytes()
+        got[:] = np.nan
+        assert cache.get(lo, hi).tobytes() == ref.get(lo, hi).tobytes()
+
+
+def test_increment_cache_draws_each_row_once(monkeypatch):
+    # the chunks handed out by _draw, laid end to end, are exactly the rows
+    # the cache holds: no row of either stream is drawn twice
+    drawn = {0: [], 1: []}
+    draw = cl.systems.IncrementCache._draw
+
+    def recorded(self, stream, count):
+        drawn[stream].append(draw(self, stream, count))
+        return drawn[stream][-1]
+
+    monkeypatch.setattr(cl.systems.IncrementCache, "_draw", recorded)
+    cache = cl.systems.IncrementCache((4, 2), "gaussian", 2)
+    for lo in range(0, 1 << 20, 1 << 16):                 # the engine's forward blocks
+        cache.get(lo, lo + (1 << 16))
+    for lo in range(-1, -100_000, -8192):                # backward reads
+        cache.get(lo - 8191, lo + 50)
+    # geometric growth: a handful of appends per stream, not one per block
+    assert len(drawn[0]) <= 6 and len(drawn[1]) <= 8
+    fwd, bwd = np.concatenate(drawn[0]), np.concatenate(drawn[1])
+    assert cache.get(0, len(fwd) - 1).tobytes() == fwd.tobytes()
+    assert cache.get(-len(bwd), -1)[::-1].tobytes() == bwd.tobytes()
+
+
+@pytest.mark.parametrize("sysm", [cl.rotation("sqrt3m1", seed=2), cl.doubling(seed=3),
+                                  cl.cat_map(seed=4)], ids=lambda s: s.kind)
+def test_state_at_reads_the_span_row_bit_for_bit(sysm):
+    # the per-kind position formulas state_at used before it read orbit_span
+    sy = cl.systems
+    st0 = sy.state_at(sysm, cl.sample_initial(sysm, 5), 50)
+    lo = 0 if sysm.kind == "doubling" else -50
+    for k in (lo, lo + 1, 1, 2, 47, 48, 49, 131, 1000):
+        got = sy.state_at(sysm, st0, k)
+        idx = st0.index + k
+        if sysm.kind == "rotation":
+            want = np.array([float(sy._rot_position(sysm, st0.origin, idx))])
+        elif sysm.kind == "doubling":
+            want = np.array([sy._doubling_positions(st0, k, k)[0]])
+        else:
+            want = sy._cat_positions(st0, k, k)[0].copy()
+        assert got.index == idx and got.coords.tobytes() == want.tobytes()
+    if sysm.kind == "doubling":
+        with pytest.raises(cl.NotInvertible):
+            sy.state_at(sysm, st0, -1)

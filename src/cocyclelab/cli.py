@@ -145,9 +145,9 @@ def _base_summary(cfg: dict, fp: str, **extra) -> dict:
            "fingerprint": fp, "parameters": dict(cfg.get("parameters") or {})}
     if "system" in cfg:
         out["system"] = cfg["system"]
-        if cfg["system"].get("kind") == "doubling":
-            # windowed surrogate orbits: per-path laws hold in distribution
-            out["orbit_mode"] = "distributional-only"
+        if cfg["system"].get("kind") in ("doubling", "cat-map"):
+            # lattice orbits: the literal orbit of the state's 53-bit point
+            out["orbit_mode"] = "exact"
     if "observable" in cfg:
         out["observable"] = cfg["observable"]
     out.update(extra)

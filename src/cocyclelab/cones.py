@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigInvalid
 
-ROWS = 1 << 14          # segments per angular-kernel block: temporaries stay in cache
+ROWS = 1 << 14          # segments per kernel block: temporaries stay in cache
 BAND = (2.0 ** -40, 2.0 ** 200)     # row scales the angular kernel takes as given
 
 
@@ -75,6 +75,14 @@ def _into_band(*Ps):
         return Ps
     e = np.where(out, np.frexp(m)[1], 0)[..., None]
     return tuple(np.ldexp(P, -e) for P in Ps)
+
+
+def _by_blocks(kernel, P0, P1) -> np.ndarray:
+    # kernel(P0, P1) in blocks of ROWS segments: temporaries scale with ROWS, not N
+    out = np.empty(len(P0))
+    for k in range(0, len(P0), ROWS):
+        out[k:k + ROWS] = kernel(P0[k:k + ROWS], P1[k:k + ROWS])
+    return out
 
 
 def _midpoint_fractions(cone: Cone, P0, P1, ts) -> np.ndarray:
@@ -175,10 +183,7 @@ class AngularCone(Cone):
         return V @ self.axis > self.cos_threshold * _norm(V)
 
     def segment_fraction(self, P0, P1):
-        out = np.empty(len(P0))
-        for k in range(0, len(P0), ROWS):
-            out[k:k + ROWS] = self._fractions(P0[k:k + ROWS], P1[k:k + ROWS])
-        return out
+        return _by_blocks(self._fractions, P0, P1)
 
     def _fractions(self, P0, P1):
         P0, P1 = _into_band(P0, P1)
@@ -235,6 +240,9 @@ class BallWindow:
         return _norm(V) < self.M
 
     def segment_fraction(self, P0, P1):
+        return _by_blocks(self._fractions, P0, P1)
+
+    def _fractions(self, P0, P1):
         # ||P0 + s q||^2 < M^2 is convex in s: inside exactly between roots
         q = P1 - P0
         pp = np.einsum("ij,ij->i", P0, P0)

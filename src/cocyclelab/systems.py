@@ -1,23 +1,26 @@
 """Concrete measure-preserving systems and their orbit generators.
 
-Four base systems on probability spaces, each with exact-as-possible
-float orbits and a declared invertibility flag:
+Four base systems on probability spaces, each with a declared
+invertibility flag:
 
 - ``rotation``: x -> x + alpha mod 1, alpha a named quadratic irrational.
   Positions are reconstructed from the integer step index as
   frac(x0 + k*alpha), never by repeated addition, so forward/backward
   iteration is bit-stable.
-- ``doubling``: x -> 2x mod 1. Non-invertible. Float doubling shifts
-  mantissa bits out, so an orbit longer than 48 steps carries almost no
-  information from x0; beyond that horizon positions are drawn as fresh
-  uniform window seeds every 48 steps (a measure-theoretic surrogate,
-  deterministic per trajectory key, so checkpoint restarts reproduce).
+- ``doubling``: x -> 2x mod 1, non-invertible. x = 0.b1 b2 ... has the
+  state's 53 digits, then digits drawn from the trajectory key.
 - ``cat-map``: (x,y) -> (2x+y, x+y) mod 1 on the 2-torus, invertible.
 - ``iid-shift``: two-sided shift over i.i.d. increments in R^d
   (rademacher | gaussian | cauchy). The realized increment sequence is
   reproducible in both directions from the trajectory key: each side is
   one stream, drawn once, in order, and appended to as reads reach
   further out.
+
+Doubling and cat-map orbits are exact in uint64 arithmetic on the
+lattice 2^-53 Z, so float coords are a state's whole position; a
+hand-built state is read as its nearest lattice point. The cat map's
+period mod 2^k grows like 2^k (Dyson & Falk, Amer. Math. Monthly 1992):
+no horizon here sees a lattice orbit repeat.
 """
 from __future__ import annotations
 
@@ -38,10 +41,10 @@ ALPHAS = {
     "sqrt3m1": math.sqrt(3.0) - 1.0,
 }
 
-# Doubling-map surrogate window: 48 < 53 mantissa bits.
-DOUBLING_WINDOW = 48
-
-_POW2 = 2.0 ** np.arange(DOUBLING_WINDOW)
+_MASK = np.uint64((1 << 53) - 1)       # lattice positions are (X & _MASK) * 2^-53
+_CAT = np.array([[2, 1], [1, 1]], dtype=np.uint64)
+_CAT_INV = np.array([[1, -1], [-1, 2]]).astype(np.uint64)     # entries mod 2^64
+_WORDS = "words"            # the IncrementCache law of the doubling map's digit stream
 
 
 @dataclass(frozen=True)
@@ -111,18 +114,23 @@ class IncrementCache:
     live generator seeded by the trajectory key: its rows are drawn once,
     in order, and appended to the cache, so the realized sequence is a
     pure function of (key, law, d) regardless of access order.
+    The law "words" is the doubling map's forward-only uint64 digit stream.
     """
 
     def __init__(self, key: tuple, law: str, d: int):
+        self.key = key
         self.law = law
         self.d = d
-        self._rngs = [np.random.default_rng((*key, stream)) for stream in (0, 1)]
-        self._rows = [np.empty((0, d)), np.empty((0, d))]
+        streams, dtype = ((2,), np.uint64) if law == _WORDS else ((0, 1), np.float64)
+        self._rngs = [np.random.default_rng((*key, stream)) for stream in streams]
+        self._rows = [np.empty((0, d), dtype) for _ in streams]
 
     def _draw(self, stream: int, count: int) -> np.ndarray:
         # the next `count` rows of a stream; chunked draws equal one-shot draws
         rng = self._rngs[stream]
         d = self.d
+        if self.law == _WORDS:
+            return rng.bit_generator.random_raw(count * d).reshape(count, d)
         if self.law == "rademacher":
             flat = np.where(rng.random(count * d) < 0.5, -1.0, 1.0)
         elif self.law == "gaussian":
@@ -161,7 +169,8 @@ class SystemState:
     invertible systems). ``coords`` is the current position for interval
     and torus systems; the shift has no visible position. ``origin`` is
     the index-0 point for the rotation. ``traj_key`` seeds per-trajectory
-    randomness (doubling windows, shift increments).
+    randomness (the doubling map's digit stream, shift increments), which
+    ``cache`` holds as far as it has been read.
     """
 
     index: int
@@ -193,81 +202,60 @@ def sample_initial(system: SystemSpec, seed: int) -> SystemState:
         x0 = rng.random()
         return SystemState(0, coords=np.array([x0]), origin=x0)
     if system.kind == "doubling":
-        x0 = rng.random()
-        return SystemState(0, coords=np.array([x0]), traj_key=key)
+        return SystemState(0, coords=np.array([rng.random()]), traj_key=key,
+                           cache=IncrementCache(key, _WORDS, 1))
     if system.kind == "cat-map":
         return SystemState(0, coords=rng.random(2))
     cache = IncrementCache(key, system.law, system.d)
     return SystemState(0, traj_key=key, cache=cache)
 
 
-def _rot_position(system: SystemSpec, origin: float, index: int | np.ndarray):
-    return np.mod(origin + system.alpha_value * np.asarray(index, dtype=np.float64), 1.0)
+def detached(state: SystemState) -> SystemState:
+    """``state`` with a fresh cache under the same key: same draws, own rows."""
+    c = state.cache
+    return state if c is None else replace(state, cache=IncrementCache(c.key, c.law, c.d))
 
 
-def _doubling_window_bases(traj_key: tuple, n_windows: int) -> np.ndarray:
-    # base point of window m >= 1 is draw m-1 of the window stream
-    rng = np.random.default_rng((*traj_key, 2))
-    return rng.random(n_windows)
+def _lattice(coords: np.ndarray) -> np.ndarray:
+    # X with X * 2^-53 the nearest lattice point to each coordinate, mod 1
+    return np.mod(np.rint(coords * 2.0 ** 53), 2.0 ** 53).astype(np.uint64)
+
+
+def _windows(words: np.ndarray, s) -> np.ndarray:
+    # for each word but the last, the 64 bits that start s bits into it and
+    # run on into the next; s broadcasts on a new last axis, so s = 0..63 gives all
+    return ((words[:-1, None] << s) | (words[1:, None] >> (64 - s))).ravel()
 
 
 def _doubling_positions(state: SystemState, lo: int, hi: int) -> np.ndarray:
-    # forward only; positions for relative steps lo..hi from the current point
-    i0 = state.index
-    abs_idx = np.arange(i0 + lo, i0 + hi + 1)
-    out = np.empty(len(abs_idx))
-    W = DOUBLING_WINDOW
-    first_window = abs_idx[0] // W
-    last_window = abs_idx[-1] // W
-    bases = None
-    if last_window >= 1:
-        bases = _doubling_window_bases(state.traj_key, last_window)
-    for m in range(first_window, last_window + 1):
-        w_lo, w_hi = max(m * W, abs_idx[0]), min((m + 1) * W - 1, abs_idx[-1])
-        if m == i0 // W and m == first_window:
-            # current window: roll forward from the known point (exact doubling)
-            base, base_idx = float(state.coords[0]), i0
-        elif m == 0:
-            raise NotInvertible("doubling orbit cannot reach window 0 from here")
-        else:
-            base, base_idx = float(bases[m - 1]), m * W
-        js = np.arange(w_lo - base_idx, w_hi - base_idx + 1)
-        seg = np.mod(base * _POW2[js], 1.0)
-        out[w_lo - abs_idx[0]:w_hi - abs_idx[0] + 1] = seg
-    return out
-
-
-def _cat_forward(x: float, y: float) -> tuple[float, float]:
-    return (2.0 * x + y) % 1.0, (x + y) % 1.0
-
-
-def _cat_backward(x: float, y: float) -> tuple[float, float]:
-    return (x - y) % 1.0, (-x + 2.0 * y) % 1.0
+    # x = 0.b1 b2 ...: the state's lattice digits X, then the word stream from
+    # bit `index` on. V is 11 zero bits then b1 b2 ..., in words: V[0] = X and
+    # V[k] = stream word k-1. T^r x is the low 53 of V's 64 bits from bit r.
+    i, a, b = state.index, lo // 64, hi // 64 + 1      # V words a..b are read
+    cache = state.cache or IncrementCache(state.traj_key, _WORDS, 1)
+    V = _windows(cache.get(i // 64 + max(a - 1, 0), i // 64 + b)[:, 0], np.uint64(i % 64))
+    if a == 0:
+        V = np.concatenate([_lattice(state.coords), V])
+    bits = _windows(V, np.arange(64, dtype=np.uint64))[lo - 64 * a:hi - 64 * a + 1]
+    return (bits & _MASK) * 2.0 ** -53
 
 
 def _cat_positions(state: SystemState, lo: int, hi: int) -> np.ndarray:
-    # Each row is fwd^r / back^{-r} of the anchor point, never a mix, so a
-    # span agrees bitwise with repeated step()/step_back() from the state.
+    # row r is A^(lo+r) X: the first by squaring A or its inverse, then each
+    # pass maps the m rows filled so far by A^m onto the next m, so n rows
+    # take log2(n) array passes; uint64 wraps mod 2^64, which 2^53 divides
     n = hi - lo + 1
-    out = np.empty((n, 2))
-    x0, y0 = float(state.coords[0]), float(state.coords[1])
-    if lo <= 0 <= hi:
-        out[-lo] = (x0, y0)
-    if lo < 0:
-        x, y = x0, y0
-        top = min(hi, -1)
-        for r in range(-1, lo - 1, -1):
-            x, y = _cat_backward(x, y)
-            if r <= top:
-                out[r - lo] = (x, y)
-    if hi > 0:
-        x, y = x0, y0
-        bot = max(lo, 1)
-        for r in range(1, hi + 1):
-            x, y = _cat_forward(x, y)
-            if r >= bot:
-                out[r - lo] = (x, y)
-    return out
+    xy = np.empty((2, n), dtype=np.uint64)
+    xy[:, 0] = np.linalg.matrix_power(_CAT if lo >= 0 else _CAT_INV, abs(lo)) @ \
+        _lattice(state.coords)
+    m, P = 1, _CAT
+    while m < n:
+        k = min(m, n - m)
+        (a, b), (c, d) = P
+        xy[0, m:m + k] = a * xy[0, :k] + b * xy[1, :k]
+        xy[1, m:m + k] = c * xy[0, :k] + d * xy[1, :k]
+        m, P = m + k, P @ P
+    return (xy.T & _MASK) * 2.0 ** -53
 
 
 def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int) -> OrbitData:
@@ -279,8 +267,8 @@ def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int) -> Orbi
     if hi < lo:
         raise ValueError("empty span")
     if system.kind == "rotation":
-        idx = state.index + np.arange(lo, hi + 1)
-        pos = _rot_position(system, state.origin, idx)
+        idx = (state.index + np.arange(lo, hi + 1)).astype(np.float64)
+        pos = np.mod(state.origin + system.alpha_value * idx, 1.0)
         return OrbitData(lo, hi, pos[:, None], None)
     if system.kind == "doubling":
         if state.index + lo < 0 or lo < 0:

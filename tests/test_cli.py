@@ -45,8 +45,8 @@ def test_trace_writes_rows_and_summary(tmp_path):
     assert summary["operation"] == "trace"
     assert summary["seed"] == 3
     assert summary["parameters"]["N"] == 10
-    # surrogate orbits on the doubling map are flagged in every summary
-    assert summary["orbit_mode"] == "distributional-only"
+    # doubling-map orbits are literal lattice orbits, and the summary says so
+    assert summary["orbit_mode"] == "exact"
     assert summary["fingerprint"]
     assert all(f",{summary['fingerprint']}," in r for r in rows)
 

@@ -419,3 +419,59 @@ def test_angular_kernel_work_on_a_rademacher_walk():
     finally:
         tracemalloc.stop()
     assert peak / n < 240
+
+
+def unblocked_ball_fraction(M, P0, P1):
+    # BallWindow.segment_fraction over all rows at once, as it ran before it
+    # took ROWS-row blocks; kept as the byte reference
+    q = P1 - P0
+    pp = np.einsum("ij,ij->i", P0, P0)
+    pq = np.einsum("ij,ij->i", P0, q)
+    qq = np.einsum("ij,ij->i", q, q)
+    M2 = M * M
+    still = qq == 0.0
+    qs = np.where(still, 1.0, qq)
+    disc = pq * pq - qs * (pp - M2)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    r0 = np.clip((-pq - sq) / qs, 0.0, 1.0)
+    r1 = np.clip((-pq + sq) / qs, 0.0, 1.0)
+    frac = np.where(disc > 0.0, r1 - r0, 0.0)
+    return np.where(still, (pp < M2).astype(np.float64), frac)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ball_kernel_in_blocks_matches_the_unblocked_formula(d):
+    rng = np.random.default_rng(20 + d)
+    n = 2 * cl.cones.ROWS + 37
+    P = np.cumsum(rng.standard_normal((n + 1, d)), axis=0)
+    # edge rows: zero length, through the centre, tangent to and ending on
+    # the unit sphere, far outside, tiny, and past the 1e154 limit
+    e = np.eye(d)[0]
+    t = np.eye(d)[-1] if d > 1 else e
+    edges0 = np.array([e, 0 * e, -2 * e, e + t, 0.5 * e, 1e100 * e, 1e-300 * e, 2e154 * e])
+    edges1 = np.array([e, 0 * e, 2 * e, e - t, e, 2e100 * e, -1e-300 * e, 3e154 * e])
+    P0 = np.concatenate([edges0, P[:-1], edges0])
+    P1 = np.concatenate([edges1, P[1:], edges1])
+    for M in (1.0, 3.0, 40.0):
+        with np.errstate(all="ignore"):
+            got = BallWindow(M).segment_fraction(P0, P1)
+            want = unblocked_ball_fraction(M, P0, P1)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_ball_kernel_temporaries_are_bounded_by_the_block():
+    # the kernel's temporaries scale with ROWS, not with the walk: beyond its
+    # 8-byte output per segment it holds about 1.7 MB at any length, so 2^18
+    # segments peak near 15 bytes each (105 when it ran over all rows at once)
+    n = 1 << 18
+    P = np.cumsum(np.random.default_rng(5).choice([-1.0, 1.0], size=(n + 1, 2)), axis=0)
+    P0, P1 = P[:-1], P[1:]
+    ball = BallWindow(30.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ball.segment_fraction(P0, P1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 24

@@ -139,6 +139,23 @@ def test_checkpoints_match_direct_states():
         tr.state_at_step(33)
 
 
+@pytest.mark.parametrize("sysm, obs", [
+    (cl.iid_shift("rademacher", d=2, seed=8), cl.iid_increment("rademacher", 2)),
+    (cl.doubling(seed=8), half_obs()),
+], ids=["iid-shift", "doubling"])
+def test_a_kept_trace_keeps_no_increment_cache(sysm, obs):
+    # the sweep draws through a cache of its own: the trace's state0 and its
+    # checkpoints keep the caller's cache, which the sweep leaves empty, and
+    # a restart from a checkpoint reads the same draws from the key
+    st0 = cl.sample_initial(sysm, 3)
+    tr = cl.ergodic_sums(sysm, obs, st0, 2 * eng.BLOCK + 5, checkpoint_every=4096)
+    assert tr.state0.cache is st0.cache
+    assert sum(len(rows) for rows in tr.state0.cache._rows) == 0
+    assert all(cp.cache is st0.cache for cp in tr.checkpoints.values())
+    assert cl.cocycle_identity_check(tr, 4096 * 5, eng.BLOCK) == 0.0
+    assert sum(len(rows) for rows in st0.cache._rows) == 0
+
+
 _PROP_TRACE = cl.ergodic_sums(
     cl.iid_shift("rademacher", d=2, seed=21),
     cl.iid_increment("rademacher", 2),

@@ -13,8 +13,9 @@ def dbl_state(x: float) -> cl.SystemState:
 
 
 def slow_return_time(x: float, a: float, b: float) -> int:
-    # independent oracle: iterate the doubling map directly; only valid
-    # within the exact-orbit window, so bail out well before its end
+    # independent oracle: iterate the doubling map in floats. From a lattice
+    # point this is exact for 53 steps, up to the drawn digits past the 53rd
+    # (under 2^(k-53) at step k), so bail out well before step 53
     y = x
     for k in range(1, 40):
         y = (2.0 * y) % 1.0

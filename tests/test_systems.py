@@ -229,23 +229,109 @@ def test_increment_cache_draws_each_row_once(monkeypatch):
     assert cache.get(-len(bwd), -1)[::-1].tobytes() == bwd.tobytes()
 
 
+# Python-int references for the lattice orbits, written from the definitions:
+# a position is X * 2^-53 with X the nearest integer to x * 2^53, mod 2^53.
+# The cat map is A^k X mod 2^53. The doubling map reads digits k+1 .. k+53
+# of one big integer: the state's 53 digits, then the words drawn from the
+# key (*traj_key, 2), from stream bit `index` on.
+
+M53 = (1 << 53) - 1
+
+
+def lattice(v: float) -> int:
+    return round(v * 2.0 ** 53) & M53
+
+
+def mat_mul(P, Q):
+    return [[(P[i][0] * Q[0][j] + P[i][1] * Q[1][j]) & M53 for j in (0, 1)] for i in (0, 1)]
+
+
+def cat_reference(coords, k: int) -> np.ndarray:
+    M = [[2, 1], [1, 1]] if k >= 0 else [[1, -1], [-1, 2]]
+    R = [[1, 0], [0, 1]]
+    for bit in bin(abs(k))[2:]:
+        R = mat_mul(R, R)
+        if bit == "1":
+            R = mat_mul(R, M)
+    X, Y = (lattice(v) for v in coords)
+    return np.array([(R[0][0] * X + R[0][1] * Y) & M53,
+                     (R[1][0] * X + R[1][1] * Y) & M53]) * 2.0 ** -53
+
+
+def doubling_reference(state: cl.SystemState, k: int) -> np.ndarray:
+    i = state.index
+    n = (i + k) // 64 + 2
+    words = np.random.default_rng((*state.traj_key, 2)).bit_generator.random_raw(n)
+    tail_bits = 64 * n - i
+    tail = int.from_bytes(words.astype(">u8").tobytes(), "big") & ((1 << tail_bits) - 1)
+    x = (lattice(state.coords[0]) << tail_bits) | tail
+    return np.array([(x >> (tail_bits - k)) & M53]) * 2.0 ** -53
+
+
 @pytest.mark.parametrize("sysm", [cl.rotation("sqrt3m1", seed=2), cl.doubling(seed=3),
                                   cl.cat_map(seed=4)], ids=lambda s: s.kind)
 def test_state_at_reads_the_span_row_bit_for_bit(sysm):
-    # the per-kind position formulas state_at used before it read orbit_span
     sy = cl.systems
-    st0 = sy.state_at(sysm, cl.sample_initial(sysm, 5), 50)
+    origin = cl.sample_initial(sysm, 5)
+    st0 = sy.state_at(sysm, origin, 50)
     lo = 0 if sysm.kind == "doubling" else -50
     for k in (lo, lo + 1, 1, 2, 47, 48, 49, 131, 1000):
         got = sy.state_at(sysm, st0, k)
         idx = st0.index + k
         if sysm.kind == "rotation":
-            want = np.array([float(sy._rot_position(sysm, st0.origin, idx))])
+            want = np.array([np.mod(st0.origin + sysm.alpha_value * np.float64(idx), 1.0)])
         elif sysm.kind == "doubling":
-            want = np.array([sy._doubling_positions(st0, k, k)[0]])
+            want = doubling_reference(origin, idx)
         else:
-            want = sy._cat_positions(st0, k, k)[0].copy()
+            want = cat_reference(origin.coords, idx)
         assert got.index == idx and got.coords.tobytes() == want.tobytes()
     if sysm.kind == "doubling":
         with pytest.raises(cl.NotInvertible):
             sy.state_at(sysm, st0, -1)
+
+
+# span starts near the edges of a 64-bit word and of an engine block, or anywhere
+_STARTS = st.one_of(st.integers(0, 70_000),
+                    st.sampled_from([64, 128, 1 << 16]).flatmap(
+                        lambda e: st.integers(e - 60, e + 60)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(-2**40, 2**40), _STARTS,
+       st.integers(0, 200), st.booleans())
+def test_cat_map_spans_match_the_integer_reference(seed, index, lo, length, backward):
+    # jump to a random index, forward or backward, then read a span there
+    sysm = cl.cat_map(seed=seed % 7)
+    origin = cl.sample_initial(sysm, seed)
+    st0 = cl.state_at(sysm, origin, index)
+    lo = -lo - length if backward else lo
+    span = cl.orbit_span(sysm, st0, lo, lo + length).positions
+    want = np.array([cat_reference(origin.coords, index + r)
+                     for r in range(lo, lo + length + 1)])
+    assert np.ascontiguousarray(span).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 20_000), _STARTS, st.integers(0, 200))
+def test_doubling_spans_match_the_integer_reference(seed, index, lo, length):
+    # a state read off the orbit at `index` continues the orbit of x0 digit
+    # for digit, so spans from it match the reference from the origin
+    sysm = cl.doubling(seed=seed % 7)
+    origin = cl.sample_initial(sysm, seed)
+    st0 = cl.state_at(sysm, origin, index)
+    span = cl.orbit_span(sysm, st0, lo, lo + length).positions
+    want = np.array([doubling_reference(origin, index + r) for r in range(lo, lo + length + 1)])
+    assert span.tobytes() == want.tobytes()
+
+
+def test_cat_map_state_at_jumps_ahead_by_squaring():
+    # 10^12 steps in either direction in O(log k) work, from a sampled state
+    # and from a hand-built one off the lattice (0.3 * 2^53 ends in .6)
+    sysm = cl.cat_map(seed=9)
+    for origin in (cl.sample_initial(sysm, 2), cl.SystemState(0, coords=np.array([0.3, 0.1]))):
+        for k in (10**12, -10**12, 2**40 + 3):
+            got = cl.state_at(sysm, origin, k)
+            assert got.index == k
+            assert got.coords.tobytes() == cat_reference(origin.coords, k).tobytes()
+            back = cl.state_at(sysm, got, -k).coords
+            assert back.tobytes() == cat_reference(origin.coords, 0).tobytes()

@@ -111,7 +111,7 @@ def cocycle_identity_check(trace: CocycleTrace, n: int, p: int) -> float:
         raise ValueError("n + p exceeds the trace length")
     st = trace.state_at_step(n)
     fresh = ergodic_sums(trace.system, trace.obs, st, p,
-                         trace.checkpoint_every).values[p]
+                         checkpoint_every=None).values[p]
     return float(np.linalg.norm(trace.values[n + p] - trace.values[n] - fresh))
 
 

@@ -115,7 +115,11 @@ class IncrementCache:
     in order, and appended to the cache, so the realized sequence is a
     pure function of (key, law, d) regardless of access order.
     The law "words" is the doubling map's forward-only uint64 digit stream.
+    This cache keeps every row it has drawn; the cache of a sweep (see
+    `detached`) drops the rows behind its reads.
     """
+
+    _forget = False
 
     def __init__(self, key: tuple, law: str, d: int):
         self.key = key
@@ -124,6 +128,8 @@ class IncrementCache:
         streams, dtype = ((2,), np.uint64) if law == _WORDS else ((0, 1), np.float64)
         self._rngs = [np.random.default_rng((*key, stream)) for stream in streams]
         self._rows = [np.empty((0, d), dtype) for _ in streams]
+        self._base = [0 for _ in streams]       # draw number of each stream's first row
+        self._last = [None for _ in streams]    # first draw of each stream's latest read
 
     def _draw(self, stream: int, count: int) -> np.ndarray:
         # the next `count` rows of a stream; chunked draws equal one-shot draws
@@ -141,24 +147,41 @@ class IncrementCache:
             return block[:, :d] / np.abs(block[:, d])[:, None]
         return flat.reshape(count, d)
 
-    def _stream(self, stream: int, n: int) -> np.ndarray:
-        # at least the first n rows of a stream; growth is geometric, so
-        # the appends stay logarithmic in the length read
-        rows = self._rows[stream]
-        if len(rows) < n:
-            fresh = self._draw(stream, max(n, 2 * len(rows), 1024) - len(rows))
-            rows = self._rows[stream] = np.concatenate([rows, fresh])
-        return rows
+    def _span(self, stream: int, a: int, b: int) -> np.ndarray:
+        # draws a .. b-1 of a stream, as a view of the cached rows. A keeping
+        # cache grows geometrically, so its appends stay logarithmic in the
+        # length read. A forgetting one draws what the read lacks and, once
+        # reads move up the stream, drops the rows below a, so it holds about
+        # one read; a stream read downwards keeps its rows
+        rows, base, last = self._rows[stream], self._base[stream], self._last[stream]
+        if a < base:
+            raise ValueError("a sweep's cache has dropped the rows below its latest read")
+        keep = a if self._forget and last is not None and a >= last else base
+        self._last[stream] = a
+        end = base + len(rows)
+        if b > end:
+            count = max(b - end, 1024) if self._forget else max(b, 2 * end, 1024) - end
+            fresh = self._draw(stream, count)
+            rows = np.concatenate([rows[keep - base:], fresh[max(keep - end, 0):]])
+        else:
+            rows = rows[keep - base:]
+        self._rows[stream], self._base[stream] = rows, keep
+        return rows[a - keep:b - keep]
 
     def get(self, lo: int, hi: int) -> np.ndarray:
         """Increments for absolute indices lo..hi inclusive, as a fresh array."""
         parts = []
         if lo < 0:
             # indices lo..min(hi, -1) are backward draws -1-lo down to -1-min(hi, -1)
-            parts.append(self._stream(1, -lo)[-1 - min(hi, -1):-lo][::-1])
+            parts.append(self._span(1, -1 - min(hi, -1), -lo)[::-1])
         if hi >= 0:
-            parts.append(self._stream(0, hi + 1)[max(lo, 0):hi + 1])
+            parts.append(self._span(0, max(lo, 0), hi + 1))
         return np.concatenate(parts)
+
+
+class _SweepCache(IncrementCache):
+    # the cache `detached` makes for a sweep, whose reads move on through a stream
+    _forget = True
 
 
 @dataclass(frozen=True)
@@ -211,9 +234,16 @@ def sample_initial(system: SystemSpec, seed: int) -> SystemState:
 
 
 def detached(state: SystemState) -> SystemState:
-    """``state`` with a fresh cache under the same key: same draws, own rows."""
+    """``state`` with a fresh cache under the same key: same draws, own rows.
+
+    The fresh cache is a sweep's: once its reads move up a stream, it keeps
+    only the rows from its latest read's lower index on, so a sweep holds
+    about one read's rows whatever its length. A stream read downwards (a
+    reverse sweep from a positive index, or a forward one from a negative
+    index) keeps every row it drew, as a caller's cache does.
+    """
     c = state.cache
-    return state if c is None else replace(state, cache=IncrementCache(c.key, c.law, c.d))
+    return state if c is None else replace(state, cache=_SweepCache(c.key, c.law, c.d))
 
 
 def _lattice(coords: np.ndarray) -> np.ndarray:

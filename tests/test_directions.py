@@ -1,10 +1,15 @@
 """Direction histograms over norm thresholds and recurrence heuristics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import directions as dr
+from cocyclelab.cones import ROWS, _norm
 
 
 def rademacher_trace(sys_seed: int, init_seed: int, n: int) -> cl.CocycleTrace:
@@ -165,6 +170,14 @@ def test_short_trace_rejected_by_diagnostic():
         cl.recurrence_diagnostic(tr, 0.5)
 
 
+@pytest.mark.parametrize("ladder", [[], [5.0, 5.0], [5.0, 1.0], [1.0, np.nan, 5.0]])
+def test_ladder_must_increase_strictly(ladder):
+    # a NaN rung is not above the one before it: each row is counted under
+    # the number of rungs below its norm, which needs an increasing ladder
+    with pytest.raises(cl.ConfigInvalid):
+        dr.hist_from_values(np.ones((3, 2)), dr.make_mesh(2), ladder)
+
+
 def test_antipodal_closure():
     mesh = dr.make_mesh(2)
     mask = np.zeros(mesh.K, dtype=bool)
@@ -218,3 +231,149 @@ def test_cell_max_norms_answer_every_rung(law, d):
             assert np.array_equal(top > M, h.counts[i] > 0)
         assert np.all(top[h.counts[0] == 0] < ladder[0])
     assert dr.cell_max_norms(np.zeros((5, d)), mesh).tolist() == [-np.inf] * mesh.K
+
+
+# The histogram kernel before it ran in blocks, with the cell assignment it
+# called and the two-pass direction scan, kept verbatim as the reference.
+
+def assign_before(mesh, U):
+    if mesh.d == 1:
+        return np.where(U[:, 0] > 0.0, 0, 1).astype(np.int64)
+    if mesh.d == 2:
+        theta = np.mod(np.arctan2(U[:, 1], U[:, 0]), 2.0 * np.pi)
+        return np.minimum((theta * mesh.K / (2.0 * np.pi)).astype(np.int64),
+                          mesh.K - 1)
+    return np.argmax(U @ mesh.centers.T, axis=1).astype(np.int64)
+
+
+def cells_and_norms_before(values, mesh):
+    nrm = _norm(values)
+    nz = nrm > 0.0
+    return assign_before(mesh, values[nz] / nrm[nz][:, None]), nrm[nz]
+
+
+def hist_from_values_before(values, mesh, thresholds):
+    h = dr.DirectionHistogram.empty(mesh, thresholds)
+    cells, nrm = cells_and_norms_before(values, mesh)
+    for i, M in enumerate(h.thresholds):
+        sel = nrm > M
+        h.counts[i] = np.bincount(cells[sel], minlength=mesh.K)
+    h.visited_traces = (h.counts > 0).astype(np.int64)
+    h.n_traces = 1
+    h.total_steps = len(values)
+    return h
+
+
+def cell_max_norms_before(values, mesh):
+    cells, nrm = cells_and_norms_before(values, mesh)
+    top = np.full(mesh.K, -np.inf)
+    np.maximum.at(top, cells, nrm)
+    return top
+
+
+def direction_scan_before(system, obs, N, seeds, mesh=None, thresholds=None,
+                          quorum=0.9):
+    seeds = list(seeds)
+    mesh = mesh or dr.make_mesh(obs.d)
+    terms = np.empty(len(seeds))
+    if thresholds is None:
+        # ladder pass: terminal norms only, traces are recomputed below
+        # so at most one full trace is ever held in memory
+        for i, s in enumerate(seeds):
+            tr = cl.ergodic_sums(system, obs, cl.sample_initial(system, s), N,
+                                 checkpoint_every=None)
+            terms[i] = tr.norms[-1]
+        thresholds = dr.default_m_ladder(float(np.median(terms)))
+    hist = None
+    for i, s in enumerate(seeds):
+        tr = cl.ergodic_sums(system, obs, cl.sample_initial(system, s), N,
+                             checkpoint_every=None)
+        terms[i] = tr.norms[-1]
+        h = hist_from_values_before(tr.values[1:], mesh, thresholds)
+        hist = h if hist is None else hist.merge(h)
+    return cl.direction_set_estimate(hist, quorum), terms
+
+
+def walk_values(law, d, seed, n):
+    if n == 0:
+        return np.empty((0, d))
+    return np.cumsum(cl.systems.IncrementCache((seed, 1), law, d).get(0, n - 1), axis=0)
+
+
+def same_histogram(a, b):
+    return (a.counts.tobytes() == b.counts.tobytes() and a.counts.shape == b.counts.shape
+            and a.visited_traces.tobytes() == b.visited_traces.tobytes()
+            and a.thresholds.tobytes() == b.thresholds.tobytes()
+            and (a.n_traces, a.total_steps) == (b.n_traces, b.total_steps))
+
+
+_MESHES = {1: [2], 2: [2, 72, 512], 3: [30, 300]}      # 512 and 300 need uint16 cells
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(cl.systems.LAWS), st.integers(1, 3), st.integers(0, 2**32),
+       st.sampled_from([0, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 37]), st.data())
+def test_blocked_kernel_equals_the_kernel_before(law, d, seed, n, data):
+    # zero rows anywhere, a whole block of them, and a threshold that equals a
+    # row's norm (rows exactly at a threshold are not above it)
+    values = walk_values(law, d, seed, n)
+    zeros = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=40))
+    values[[z for z in zeros if z < n]] = 0.0
+    if data.draw(st.booleans()):
+        values[ROWS // 2:ROWS // 2 + ROWS] = 0.0
+    mesh = dr.make_mesh(d, data.draw(st.sampled_from(_MESHES[d])))
+    norms = _norm(values)
+    k = data.draw(st.integers(0, max(n - 1, 0)))
+    ladder = dr.default_m_ladder(float(norms[k]) if n and norms[k] > 0.0 else 1.0)
+    got = dr.hist_from_values(values, mesh, ladder)
+    assert same_histogram(got, hist_from_values_before(values, mesh, ladder))
+    assert got.counts.dtype == np.int64 and got.counts.flags.c_contiguous
+    want = cell_max_norms_before(values, mesh)
+    assert dr.cell_max_norms(values, mesh).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law, d", [("cauchy", 2), ("rademacher", 1), ("gaussian", 3)])
+def test_one_pass_scan_equals_the_two_pass_scan(law, d):
+    sysm = cl.iid_shift(law, d=d, seed=60 + d)
+    obs = cl.iid_increment(law, d)
+    mesh = dr.make_mesh(d, 72 if d == 2 else 30)
+    for thresholds in (None, np.array([5.0, 40.0])):
+        est, terms = cl.direction_scan(sysm, obs, 2 * ROWS + 5, range(5), mesh, thresholds)
+        want, want_terms = direction_scan_before(sysm, obs, 2 * ROWS + 5, range(5), mesh,
+                                                 thresholds)
+        assert same_histogram(est.histogram, want.histogram)
+        assert est.cells.tobytes() == want.cells.tobytes()
+        assert terms.tobytes() == want_terms.tobytes()
+
+
+def test_direction_scan_builds_one_trace_per_seed(monkeypatch):
+    real, built = dr.ergodic_sums, []
+
+    def counted(*args, **kwargs):
+        built.append(args[2].traj_key)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dr, "ergodic_sums", counted)
+    sysm = cl.iid_shift("cauchy", d=2, seed=7)
+    cl.direction_scan(sysm, cl.iid_increment("cauchy", 2), 3000, [0, 1, 2])
+    assert sorted(built) == [(7, 0), (7, 1), (7, 2)]
+
+
+def traced_peak(fn) -> int:
+    # peak bytes traced while fn runs, above what was live when it started
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_histogram_kernel_memory_per_row():
+    # 9 bytes a row for the compact (cell, norm) rows and block-sized
+    # temporaries; the whole-array kernel took about 50
+    values = walk_values("cauchy", 2, 5, 1 << 18)
+    mesh = dr.make_mesh(2)
+    peak = traced_peak(lambda: dr.hist_from_values(values, mesh, dr.default_m_ladder(512.0)))
+    assert peak / len(values) < 16

@@ -1,5 +1,6 @@
 """Partial-sum engine: additivity, reverse sums, checkpoints."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,45 @@ def test_a_kept_trace_keeps_no_increment_cache(sysm, obs):
     assert all(cp.cache is st0.cache for cp in tr.checkpoints.values())
     assert cl.cocycle_identity_check(tr, 4096 * 5, eng.BLOCK) == 0.0
     assert sum(len(rows) for rows in st0.cache._rows) == 0
+
+
+def test_a_restart_stores_no_checkpoint(monkeypatch):
+    # the second pass of the identity check reads only its last row, so it
+    # keeps no checkpoint even on a checkpoint-every-step trace
+    sysm = cl.cat_map(seed=2)
+    obs = cl.parse_observable("frac-0.5")
+    tr = cl.ergodic_sums(sysm, obs, cl.sample_initial(sysm, 4), 600, checkpoint_every=1)
+    real, restarts = eng.ergodic_sums, []
+
+    def recorded(*args, **kwargs):
+        restarts.append(real(*args, **kwargs))
+        return restarts[-1]
+
+    monkeypatch.setattr(eng, "ergodic_sums", recorded)
+    for n, p in ((1, 1), (37, 400), (300, 300)):
+        res = cl.cocycle_identity_check(tr, n, p)
+        kept = real(sysm, obs, tr.state_at_step(n), p, checkpoint_every=1)
+        want = tr.values[n + p] - tr.values[n] - kept.values[p]
+        assert res == float(np.linalg.norm(want))
+    assert len(restarts) == 3 and all(r.checkpoints == {} for r in restarts)
+
+
+def test_a_planar_walk_holds_its_values_and_one_block():
+    # the sweep's cache forgets the rows behind its latest read: the peak is
+    # the (N+1, 2) values, 16 bytes a step, plus block-sized temporaries
+    # (a cache that kept every row took about 51 bytes a step at 2^20)
+    sysm = cl.iid_shift("rademacher", d=2, seed=9)
+    obs = cl.iid_increment("rademacher", 2)
+    st0 = cl.sample_initial(sysm, 1)
+    N = 1 << 20
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cl.ergodic_sums(sysm, obs, st0, N, checkpoint_every=None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / N < 30
 
 
 _PROP_TRACE = cl.ergodic_sums(

@@ -104,6 +104,22 @@ def test_coboundary_heredity():
     assert np.max(np.abs(it.values)) <= 2.0 + 1e-9
 
 
+def test_a_kept_induced_trace_keeps_no_increment_cache():
+    # the scan draws through a cache of its own: the induced trace's state0
+    # keeps the caller's cache, which the scan leaves empty, and the induced
+    # values are the full-orbit sums at the return times
+    sysm = cl.iid_shift("rademacher", d=2, seed=8)
+    obs = cl.iid_increment("rademacher", 2)
+    B = cl.cylinder_positive(0)
+    entry = cl.first_entry(sysm, B, cl.sample_initial(sysm, 3), CAP).index
+    st0 = cl.state_at(sysm, cl.sample_initial(sysm, 3), entry)
+    it = cl.induced_trace(sysm, obs, B, st0, 100_000, CAP)
+    assert it.state0.cache is st0.cache
+    assert sum(len(rows) for rows in st0.cache._rows) == 0
+    tr = cl.ergodic_sums(sysm, obs, st0, int(it.return_times[-1]), checkpoint_every=None)
+    assert it.values[1:].tobytes() == tr.values[it.return_times].tobytes()
+
+
 def test_kac_whole_space_is_exact():
     mean, per_seed = cl.kac_statistic(cl.doubling(seed=1), cl.interval(0.0, 1.0),
                                       100, range(3))

@@ -229,6 +229,62 @@ def test_increment_cache_draws_each_row_once(monkeypatch):
     assert cache.get(-len(bwd), -1)[::-1].tobytes() == bwd.tobytes()
 
 
+# a sweep's reads: from a start anywhere in either stream, blocks of any
+# length, each a gap away from the last (a negative gap overlaps it by a few
+# rows), forward or backward
+_SWEEP_READS = st.lists(st.tuples(st.integers(4, 3000), st.integers(-3, 4000)),
+                        min_size=1, max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(cl.systems.LAWS + ("words",)), st.integers(1, 3),
+       st.integers(0, 2**32), st.integers(-5000, 5000), _SWEEP_READS, st.booleans())
+def test_detached_cache_reads_equal_a_keeping_cache(law, d, seed, start, reads, backward):
+    # the detached cache gives the keeping cache's bytes. In the stream whose
+    # draws the sweep reads in order, from its second read there it keeps
+    # about one read, and refuses a read below the rows it kept
+    if law == "words":              # the doubling map's digits: forward only
+        d, start, backward = 1, abs(start), False
+    state = cl.SystemState(0, traj_key=(seed, 1),
+                           cache=cl.systems.IncrementCache((seed, 1), law, d))
+    sweep = cl.systems.detached(state).cache
+    keep = cl.systems.IncrementCache((seed, 1), law, d)
+    up = 1 if backward else 0
+    edge, longest, reads_up = start, 0, 0
+    for length, gap in reads:
+        lo, hi = (edge - gap - length, edge - gap) if backward else \
+            (edge + gap, edge + gap + length)
+        if law == "words":
+            lo = max(lo, 0)
+        assert sweep.get(lo, hi).tobytes() == keep.get(lo, hi).tobytes()
+        longest = max(longest, hi - lo + 1)
+        reads_up += bool(lo < 0 if up else hi >= 0)
+        if reads_up >= 2:
+            assert len(sweep._rows[up]) <= longest + 1028
+        edge = lo if backward else hi
+    assert sum(len(rows) for rows in state.cache._rows) == 0
+    if reads_up >= 2 and sweep._base[up] > 0:
+        i = sweep._base[up] - 1                  # the last draw it dropped
+        with pytest.raises(ValueError):
+            sweep.get(*((-1 - i, -1 - i) if up else (i, i)))
+
+
+@pytest.mark.parametrize("index", [200_000, -200_000])
+def test_sweeps_from_either_side_of_the_origin(index):
+    # a reverse sweep from a positive index reads the forward stream
+    # downwards, a forward sweep from a negative one the backward stream:
+    # both keep that stream's rows and give the keeping cache's sums
+    sysm = cl.iid_shift("gaussian", d=2, seed=4)
+    obs = cl.iid_increment("gaussian", 2)
+    st0 = cl.state_at(sysm, cl.sample_initial(sysm, 1), index)
+    N = 150_000
+    for sums, inc in ((cl.ergodic_sums, st0.cache.get(index, index + N - 1)),
+                      (cl.reverse_sums, -st0.cache.get(index - N, index - 1)[::-1])):
+        got = sums(sysm, obs, st0, N, checkpoint_every=None).values
+        want = np.concatenate([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
 # Python-int references for the lattice orbits, written from the definitions:
 # a position is X * 2^-53 with X the nearest integer to x * 2^53, mod 2^53.
 # The cat map is A^k X mod 2^53. The doubling map reads digits k+1 .. k+53

@@ -229,7 +229,7 @@ def _c10_antipodal_coverage():
     for s in range(n_seeds):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
                           checkpoint_every=None)
-        terms[s] = tr.norms[-1]
+        terms[s] = _norm(tr.values[-1])
         tops[s] = dr.cell_max_norms(tr.values[1:], mesh)
     # the ladder needs every terminal norm; the per-cell maxima answer each rung
     ladder = dr.default_m_ladder(float(np.median(terms)))

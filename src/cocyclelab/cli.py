@@ -38,7 +38,7 @@ from .observables import parse_observable
 
 OPERATIONS = ("trace", "induce", "directions", "filling", "sojourn",
               "brownian", "accept")
-WRITE_ROWS = 1 << 16       # CSV rows formatted per write
+WRITE_ROWS = 1 << 14       # CSV rows encoded per write
 
 
 # ---------------------------------------------------------------- config
@@ -103,24 +103,85 @@ def _write_csv(path: str, header, blocks) -> int:
 
     A block is a list of columns: 1-D numpy arrays of one length, or
     constants (ints and strings) repeated on every row. Float columns
-    print as %.17g and integer columns as %d; lines end in \r\n. No
-    field needs quoting: fields are numbers and hex fingerprints.
+    print as %.17g and integer columns (bool included) as %d; lines end
+    in \r\n. No field needs quoting: fields are numbers and hex
+    fingerprints. Rows are encoded WRITE_ROWS at a time in numpy (see
+    `_encode_rows`); the bytes are those of formatting each row with
+    Python's `%` operator.
     """
     n = 0
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\r\n").encode())
         for block in blocks:
-            arrays = [c for c in block if isinstance(c, np.ndarray)]
-            fields = [("%.17g" if c.dtype.kind == "f" else "%d")
-                      if isinstance(c, np.ndarray) else str(c).replace("%", "%%")
-                      for c in block]
-            fmt = ",".join(fields) + "\r\n"
-            rows = len(arrays[0])
+            rows = len(next(c for c in block if isinstance(c, np.ndarray)))
             for lo in range(0, rows, WRITE_ROWS):
-                cols = [a[lo:lo + WRITE_ROWS].tolist() for a in arrays]
-                f.write("".join(map(fmt.__mod__, zip(*cols))))
+                f.write(_encode_rows([c[lo:lo + WRITE_ROWS] if isinstance(c, np.ndarray)
+                                      else c for c in block]))
             n += rows
     return n
+
+
+def _encode_rows(block) -> np.ndarray:
+    # the CSV lines of one block as flat uint8 text: every field becomes a
+    # NUL-padded byte matrix, one row per line, and the constants with the
+    # separators between them become literal runs; the matrices sit side by
+    # side and the NULs (which CSV text never holds) are squeezed out
+    parts, text = [], ""
+    for j, c in enumerate(block):
+        text += "," if j else ""
+        if isinstance(c, np.ndarray):
+            parts += [np.frombuffer(text.encode(), np.uint8),
+                      _float_field(c) if c.dtype.kind == "f" else _int_field(c)]
+            text = ""
+        else:
+            text += str(c)
+    parts.append(np.frombuffer((text + "\r\n").encode(), np.uint8))
+    rows = max(len(p) for p in parts if p.ndim == 2)
+    M = np.zeros((rows, sum(p.shape[-1] for p in parts)), np.uint8)
+    at = 0
+    for p in parts:
+        M[:, at:at + p.shape[-1]] = p
+        at += p.shape[-1]
+    return M[M != 0]
+
+
+def _float_field(col: np.ndarray) -> np.ndarray:
+    # %.17g of each distinct bit pattern once (so -0.0 and every NaN keep
+    # their own text), all in one `%` call: %-24.17g left-justifies each in
+    # the 24 places %.17g never exceeds, and the blank tail becomes NUL
+    bits, inv = np.unique(col.astype(np.float64, copy=False).view(np.uint64),
+                          return_inverse=True)
+    text = ("%-24.17g" * len(bits)) % tuple(bits.view(np.float64).tolist())
+    table = np.frombuffer(text.encode(), np.uint8).reshape(len(bits), 24)
+    width = 24
+    while (table[:, width - 1] == ord(" ")).all():
+        width -= 1
+    table = table[:, :width]
+    return np.where(table == ord(" "), np.uint8(0), table)[inv]
+
+
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _int_field(col: np.ndarray) -> np.ndarray:
+    # %d in numpy: the magnitude as uint64 (two's complement for negatives,
+    # so int64's minimum is exact), its digits right-aligned behind a sign
+    # column, leading places NUL
+    mag = col.astype(np.uint64)
+    neg = col < 0
+    np.negative(mag, out=mag, where=neg)
+    ndig = np.maximum(np.searchsorted(_POW10, mag, side="right"), 1)
+    width = int(ndig.max())
+    out = np.empty((len(col), width + 1), np.uint8)
+    rest = mag
+    for j in range(width, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        out[:, j] = digit
+    out += ord("0")
+    lead = width + 1 - ndig
+    out[np.arange(width + 1) < lead[:, None]] = 0
+    out[neg, lead[neg] - 1] = ord("-")
+    return out
 
 
 def _resolve_out(cfg: dict, default_name: str):

@@ -117,8 +117,10 @@ class DirectionHistogram:
 
 
 def _cells_and_norms(values: np.ndarray, mesh: SphereMesh):
-    # cell and norm of every row with a positive norm, ROWS rows at a time so
-    # the temporaries stay in cache: 9 bytes a row for the 72-arc mesh
+    # cell and norm of every row with a positive finite norm, ROWS rows at a
+    # time so the temporaries stay in cache: 9 bytes a row for the 72-arc mesh;
+    # a zero, NaN or infinite norm (an infinite coordinate, or squares that
+    # overflow) gives no direction, so its row is dropped
     n = len(values)
     cells = np.empty(n, dtype=np.min_scalar_type(mesh.K))
     norms = np.empty(n)
@@ -127,7 +129,7 @@ def _cells_and_norms(values: np.ndarray, mesh: SphereMesh):
     for lo in range(0, n, ROWS):
         V = values[lo:lo + ROWS]
         nrm = _norm(V)
-        nz = nrm > 0.0
+        nz = (nrm > 0.0) & (nrm < np.inf)
         if not nz.all():
             V, nrm = V[nz], nrm[nz]
         k = kept + len(nrm)
@@ -160,7 +162,11 @@ def _histogram(cells: np.ndarray, norms: np.ndarray, mesh: SphereMesh, threshold
 
 def hist_from_values(values: np.ndarray, mesh: SphereMesh,
                      thresholds) -> DirectionHistogram:
-    """Histogram of one trajectory's partial-sum rows (row 0 may be 0)."""
+    """Histogram of one trajectory's partial-sum rows (row 0 may be 0).
+
+    Rows whose norm is zero, NaN or infinite have no direction and are
+    not counted; an infinite coordinate gives an infinite norm.
+    """
     return _histogram(*_cells_and_norms(values, mesh), mesh, thresholds, len(values))
 
 
@@ -171,6 +177,8 @@ def hist_from_trace(trace: CocycleTrace, mesh: SphereMesh,
 
 def cell_max_norms(values: np.ndarray, mesh: SphereMesh) -> np.ndarray:
     """Largest norm of the rows in each cell, -inf where none falls.
+
+    Rows are dropped as in `hist_from_values`.
 
     Cell k is visited at threshold M exactly when entry k is above M.
     """
@@ -264,6 +272,9 @@ def direction_scan(system: SystemSpec, obs: ObservableSpec, N: int, seeds,
     terminal norm is known. Explicit thresholds fold each seed at once.
     Returns (estimate, per_seed_terminal_norms).
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigInvalid("seeds", "a direction scan needs at least one seed")
     mesh = mesh or make_mesh(obs.d)
     scans = (_scan_seed(system, obs, s, N, mesh) for s in seeds)
     if thresholds is None:

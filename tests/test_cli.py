@@ -4,10 +4,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cocyclelab
 from cocyclelab import cli
@@ -319,3 +322,118 @@ def test_sojourn_ball_pass_equals_per_horizon_frequency(law, d):
                                      cocyclelab.sample_initial(sysm, 3), N)
         ref = [cocyclelab.ball_visit_frequency(tr, int(n), 20.0) for n in ns]
         assert ball.tobytes() == np.array(ref).tobytes()
+
+
+# The CSV writer before it encoded rows in numpy, kept verbatim (with its
+# block size) as the byte reference.
+
+WRITE_ROWS = 1 << 16       # CSV rows formatted per write
+
+
+def write_csv_before(path: str, header, blocks) -> int:
+    n = 0
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        for block in blocks:
+            arrays = [c for c in block if isinstance(c, np.ndarray)]
+            fields = [("%.17g" if c.dtype.kind == "f" else "%d")
+                      if isinstance(c, np.ndarray) else str(c).replace("%", "%%")
+                      for c in block]
+            fmt = ",".join(fields) + "\r\n"
+            rows = len(arrays[0])
+            for lo in range(0, rows, WRITE_ROWS):
+                cols = [a[lo:lo + WRITE_ROWS].tolist() for a in arrays]
+                f.write("".join(map(fmt.__mod__, zip(*cols))))
+            n += rows
+    return n
+
+
+def same_csv(tmp_path, header, blocks):
+    a, b = tmp_path / "before.csv", tmp_path / "now.csv"
+    assert cli._write_csv(str(b), header, blocks) == write_csv_before(str(a), header, blocks)
+    assert b.read_bytes() == a.read_bytes()
+
+
+EDGE_FLOATS = np.array([
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+    np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0), -9.9999999999999991e-05,
+    1e16, np.nextafter(1e16, 0.0), 1e17, np.nextafter(1e17, 0.0), np.nextafter(1e17, 1e18),
+    -1.2345678901234567e16, 0.1, 1.0 / 3.0, -2.5, 1.0, 123456789012345678.0])
+EDGE_INTS = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1, 9, 10, -10,
+                      99, 100, -999_999, 10**18, -10**18], dtype=np.int64)
+
+
+def test_writer_edge_rows_match_the_writer_before(tmp_path):
+    n = 2 * cli.WRITE_ROWS + 37
+    rng = np.random.default_rng(4)
+    block = [12, "ab%dc%%", np.resize(EDGE_FLOATS, n), np.resize(EDGE_INTS, n),
+             np.arange(n) % 3 == 0, (np.arange(n) % 256).astype(np.uint8),
+             rng.standard_normal(n),
+             rng.integers(-2**40, 2**40, n), "f0e1d2c3b4a5",
+             np.array([np.iinfo(np.uint64).max, 0, 2**63], dtype=np.uint64).repeat(n)[:n]]
+    header = [f"c{j}" for j in range(len(block))]
+    same_csv(tmp_path, header, [block])
+    # empty blocks, blocks that end on and just past the block size, and a
+    # strided column (a trace's column is a view of its (N+1, d) values)
+    values = rng.standard_normal((cli.WRITE_ROWS + 1, 2))
+    same_csv(tmp_path, ["s", "n", "x", "y"], [
+        [1, np.arange(0), np.empty(0), np.empty(0)],
+        [2, np.arange(cli.WRITE_ROWS), *values[:-1].T],
+        [3, np.arange(0), np.empty(0), np.empty(0)],
+        [4, np.arange(cli.WRITE_ROWS + 1), *values.T]])
+    same_csv(tmp_path, ["s"], [])
+
+
+_columns = st.one_of(
+    st.builds(lambda v: np.array(v, dtype=np.float64),
+              st.lists(st.floats(allow_subnormal=True) | st.sampled_from(EDGE_FLOATS.tolist()))),
+    st.builds(lambda v: np.array(v, dtype=np.int64),
+              st.lists(st.integers(-2**63, 2**63 - 1) | st.sampled_from(EDGE_INTS.tolist()))),
+    st.builds(lambda v: np.array(v, dtype=bool), st.lists(st.booleans())),
+    st.builds(lambda v: np.array(v, dtype=np.uint8), st.lists(st.integers(0, 255))),
+)
+_constants = st.integers(-2**70, 2**70) | st.text(
+    st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(_columns | _constants, min_size=1, max_size=6),
+                          st.integers(0, 40)), max_size=4),
+       st.integers(1, 9))
+def test_writer_matches_the_writer_before(tmp_path_factory, blocks, write_rows):
+    # every column of a block is cut to one length, which crosses a small
+    # block size several times
+    tmp = tmp_path_factory.mktemp("csv")
+    out = []
+    for cols, rows in blocks:
+        cols = [np.resize(c, rows) if isinstance(c, np.ndarray) else c for c in cols]
+        out.append([np.arange(rows), *cols])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "WRITE_ROWS", write_rows)
+        same_csv(tmp, ["n"] + [f"c{j}" for j in range(max(map(len, out), default=0))], out)
+
+
+@pytest.mark.parametrize("kind", ["trace", "distinct"])
+def test_writer_memory_per_row(tmp_path, kind):
+    # block-sized temporaries: about 9 bytes a row for a rotation trace and 16
+    # for all-distinct floats; the per-row `%` writer took 72 and 88
+    N = 200_000
+    if kind == "trace":
+        sysm = cocyclelab.rotation("golden")
+        tr = cocyclelab.ergodic_sums(sysm, cocyclelab.parse_observable("indicator(0.0,0.5)-0.5"),
+                                     cocyclelab.sample_initial(sysm, 3), N,
+                                     checkpoint_every=None)
+        cols = [np.arange(1, N + 1), *tr.values[1:].T, tr.norms[1:]]
+    else:
+        rng = np.random.default_rng(0)
+        cols = [np.arange(1, N + 1), np.cumsum(rng.integers(1, 8, N)), rng.standard_normal(N)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._write_csv(str(tmp_path / "out.csv"), ["a"] * (len(cols) + 2),
+                       [[3, "0123456789ab", *cols]])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / N < 24

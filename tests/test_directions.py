@@ -377,3 +377,53 @@ def test_histogram_kernel_memory_per_row():
     mesh = dr.make_mesh(2)
     peak = traced_peak(lambda: dr.hist_from_values(values, mesh, dr.default_m_ladder(512.0)))
     assert peak / len(values) < 16
+
+
+def test_direction_scan_rejects_an_empty_seed_list(monkeypatch):
+    built = []
+    monkeypatch.setattr(dr, "ergodic_sums", lambda *a, **k: built.append(a))
+    sysm = cl.iid_shift("cauchy", d=2, seed=7)
+    for thresholds in (None, [1.0, 2.0]):
+        with pytest.raises(cl.ConfigInvalid) as e:
+            cl.direction_scan(sysm, cl.iid_increment("cauchy", 2), 100, [], thresholds=thresholds)
+        assert e.value.field == "seeds"
+    assert built == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rows_with_an_infinite_coordinate_are_dropped(d):
+    # an infinite coordinate gives an infinite norm and a NaN unit vector:
+    # such a row has no direction, like a zero row
+    mesh = dr.make_mesh(d)
+    ones = np.ones((3, d))
+    want = dr.hist_from_values(ones, mesh, [0.5]).counts
+    for j in range(d):
+        for bad in (np.inf, -np.inf):
+            row = np.ones(d)
+            row[j] = bad
+            values = np.vstack([ones[:2], row, ones[2:]])
+            assert dr.hist_from_values(values, mesh, [0.5]).counts.tobytes() == want.tobytes()
+            top = dr.cell_max_norms(values, mesh)
+            assert np.isfinite(top).sum() == 1 and top.max() == _norm(ones[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(cl.systems.LAWS), st.integers(1, 3), st.integers(0, 2**32),
+       st.sampled_from([1, ROWS - 1, ROWS + 1, 2 * ROWS + 37]),
+       st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 2),
+                          st.sampled_from([np.inf, -np.inf, np.nan, 1e200, 0.0])),
+                max_size=30))
+def test_finite_rows_keep_their_cells_and_norms(law, d, seed, n, bad):
+    # rows with an infinite coordinate or an overflowing norm are dropped
+    # with zero and NaN rows; every other row keeps the bytes of the kernel
+    # before blocking
+    values = walk_values(law, d, seed, n)
+    for i, j, x in bad:
+        values[i % n, j % d] = x
+    mesh = dr.make_mesh(d)
+    with np.errstate(over="ignore"):
+        cells, norms = dr._cells_and_norms(values, mesh)
+        finite = np.isfinite(_norm(values))
+    want_cells, want_norms = cells_and_norms_before(values[finite], mesh)
+    assert norms.tobytes() == want_norms.tobytes()
+    assert np.array_equal(cells, want_cells)

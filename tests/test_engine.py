@@ -296,3 +296,35 @@ def test_shared_block_loop_matches_separate_loops(system, obs, state0, every):
         assert tr.values.tobytes() == values.tobytes()
         assert list(tr.checkpoints) == list(checkpoints)
         assert all(same_state(tr.checkpoints[k], checkpoints[k]) for k in checkpoints)
+
+
+_KINDS = {
+    "rotation": (cl.rotation("golden", seed=4), half_obs()),
+    "doubling": (cl.doubling(seed=4), half_obs()),
+    "cat-map": (cl.cat_map(seed=4), cl.parse_observable("frac-0.5")),
+    "iid-shift": (cl.iid_shift("rademacher", d=2, seed=4), cl.iid_increment("rademacher", 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_sums_evaluate_each_orbit_row_once(monkeypatch, kind):
+    # linear in N: a sweep reads N orbit rows plus a lookahead row per block,
+    # counted where the engine and the systems module ask for spans
+    sysm, obs = _KINDS[kind]
+    real, rows = cl.systems.orbit_span, []
+
+    def counted(system, state, lo, hi):
+        rows.append(hi - lo + 1)
+        return real(system, state, lo, hi)
+
+    monkeypatch.setattr(eng, "orbit_span", counted)
+    monkeypatch.setattr(cl.systems, "orbit_span", counted)
+    N = 3 * eng.BLOCK + 5
+    blocks = -(-N // eng.BLOCK)
+    sums = [cl.ergodic_sums] + ([cl.reverse_sums] if sysm.invertible else [])
+    for fn in sums:
+        rows.clear()
+        tr = fn(sysm, obs, cl.sample_initial(sysm, 1), N, checkpoint_every=None)
+        assert tr.N == N
+        assert len(rows) == blocks and sum(rows) <= N + 2 * blocks
+    assert len(sums) == (1 if kind == "doubling" else 2)

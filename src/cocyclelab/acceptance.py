@@ -24,7 +24,7 @@ from . import filling as fl
 from . import induce as ind
 from . import sojourn as so
 from . import systems as sy
-from .cones import HalfSpace, _norm
+from .cones import HalfSpace, _norm, _true_norm
 from .engine import cocycle_identity_check, ergodic_sums
 from .observables import (centered_indicator, coboundary_of, iid_increment,
                           parse_observable)
@@ -229,7 +229,7 @@ def _c10_antipodal_coverage():
     for s in range(n_seeds):
         tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
                           checkpoint_every=None)
-        terms[s] = _norm(tr.values[-1])
+        terms[s] = _true_norm(tr.values[-1])
         tops[s] = dr.cell_max_norms(tr.values[1:], mesh)
     # the ladder needs every terminal norm; the per-cell maxima answer each rung
     ladder = dr.default_m_ladder(float(np.median(terms)))

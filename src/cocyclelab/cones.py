@@ -20,13 +20,35 @@ takes one membership test, at its midpoint. Only crossing segments
 test each piece's midpoint with the exact (unsquared) membership, so
 spurious roots and tangencies drop out without bisection.
 
+The angular and ball kernels run in blocks of ROWS segments. In the
+plane and for the ball a convexity screen decides most rows before any
+closed form. With m a segment's largest |coordinate| and a margin of
+MARGIN * m:
+
+- planar angular cone: the screen works on K, the cone itself if its
+  cos_threshold is positive, else the closure of its complement, and
+  on K's two boundary lines: both ends inside both lines give 1.0 for
+  K, both ends beyond one line give 0.0;
+- ball: both ends inside M / (1 + MARGIN) give 1.0; both ends at least
+  (M + segment length)(1 + MARGIN) from the centre give 0.0.
+
+On these rows the closed form returns exactly 1.0 or 0.0. The rest, and
+rows whose m is 0 or lies outside BAND, take the closed form; on a long
+walk that is under 1% of the rows. Angular cones in d >= 3 decide no
+row by the screen: every row takes the closed form. For C-contiguous
+input, the layout every caller in the package passes, the screen moves
+no byte; other layouts may move the last bit of rows that take the
+closed form, since matmul rounds <P,u> by layout.
+
 Membership is positively homogeneous. The angular closed forms square
 coordinates, so the angular cone first moves each nonzero row (a point,
 or a segment's two ends together) whose largest |coordinate| lies
 outside BAND into [0.5, 1) by an exact power of two; other rows are
-taken as given. The ball window is not homogeneous and squares
-coordinates as given: its fractions hold up to coordinates of about
-1e154.
+taken as given. The ball window is not homogeneous and its closed form
+squares coordinates as given: its fractions hold up to coordinates of
+about 1e154, where the squares overflow (a row beyond that is outside
+BAND, so the screen leaves it to the closed form). _true_norm takes a
+row's norm at every finite scale.
 """
 from __future__ import annotations
 
@@ -35,7 +57,8 @@ import numpy as np
 from .errors import ConfigInvalid
 
 ROWS = 1 << 14          # segments per kernel block: temporaries stay in cache
-BAND = (2.0 ** -40, 2.0 ** 200)     # row scales the angular kernel takes as given
+BAND = (2.0 ** -40, 2.0 ** 200)     # row scales taken as given (else moved, or not screened)
+MARGIN = 1e-9           # relative margin by which the screen decides a segment
 
 
 class Cone:
@@ -62,27 +85,87 @@ def _norm(V) -> np.ndarray:
     return np.sqrt(sum(V[..., k] * V[..., k] for k in range(V.shape[-1])))
 
 
-def _into_band(*Ps):
-    # rows of Ps taken together: a nonzero row whose largest |coordinate| lies
-    # outside BAND is scaled into [0.5, 1) by a power of two (ldexp, exact);
-    # every other row is left as given
+def _scale(*Ps) -> np.ndarray:
+    # largest |coordinate| of each row of Ps taken together (NaN if any is NaN)
     m = np.zeros(Ps[0].shape[:-1])
     for P in Ps:
         for k in range(P.shape[-1]):
             np.maximum(m, np.abs(P[..., k]), out=m)
+    return m
+
+
+def _band_exponent(*Ps):
+    # rows of Ps taken together: e such that ldexp(row, -e) has its largest
+    # |coordinate| in [0.5, 1) for a nonzero row whose largest |coordinate|
+    # lies outside BAND, and 0 for every other row; None if no row lies outside
+    m = _scale(*Ps)
     out = (m > BAND[1]) | ((m < BAND[0]) & (m > 0.0))
     if not out.any():
-        return Ps
-    e = np.where(out, np.frexp(m)[1], 0)[..., None]
-    return tuple(np.ldexp(P, -e) for P in Ps)
+        return None
+    return np.where(out, np.frexp(m)[1], 0)[..., None]
+
+
+def _into_band(*Ps):
+    # rows of Ps taken together, scaled by 2^-e (ldexp, exact)
+    e = _band_exponent(*Ps)
+    return Ps if e is None else tuple(np.ldexp(P, -e) for P in Ps)
+
+
+def _true_norm(V):
+    # _norm(V), bytes included, except where the squares overflow: there the
+    # norm of the row moved into BAND, scaled back, which is inf only where
+    # the true norm lies past the float64 range
+    V = np.asarray(V)
+    with np.errstate(over="ignore"):
+        nrm = np.asarray(_norm(V))
+        big = nrm == np.inf
+        if big.any():
+            W = V[big]                      # a 1-d V and 0-d nrm give one row
+            e = _band_exponent(W)[:, 0]
+            nrm[big] = np.ldexp(_norm(np.ldexp(W, -e[:, None])), e)
+    return nrm[()]
 
 
 def _by_blocks(kernel, P0, P1) -> np.ndarray:
-    # kernel(P0, P1) in blocks of ROWS segments: temporaries scale with ROWS, not N
+    # kernel._fractions(P0, P1) in blocks of ROWS segments: temporaries scale
+    # with ROWS, not N. kernel._screen, unless None, first decides the rows
+    # that lie on one side of the boundary throughout, where the closed form
+    # gives exactly 1.0 or 0.0; only the rest, and rows of scale 0 or outside
+    # BAND, take it
     out = np.empty(len(P0))
     for k in range(0, len(P0), ROWS):
-        out[k:k + ROWS] = kernel(P0[k:k + ROWS], P1[k:k + ROWS])
+        p0, p1 = P0[k:k + ROWS], P1[k:k + ROWS]
+        fr = out[k:k + ROWS]
+        if kernel._screen is None:
+            fr[:] = kernel._fractions(p0, p1)
+            continue
+        m = _scale(p0, p1)
+        with np.errstate(over="ignore", invalid="ignore"):    # rows outside BAND
+            inside, outside = kernel._screen(p0, p1, m)
+        fr[:] = inside
+        i = np.flatnonzero(~((inside | outside) & (m >= BAND[0]) & (m <= BAND[1])))
+        if len(i) == 1 and len(p0) > 1:
+            # matmul rounds <P0,u> for a one-row array another way than for
+            # two or more (a tangent row of a Cauchy walk moved from 0.031 to
+            # 0.0), so a lone row runs beside a second row of its block.
+            # A column-wise dot product, as in _norm, would remove this
+            # dependence on layout, at the cost of moving bytes
+            i = np.array([0, i[0]] if i[0] else [0, 1])
+        if len(i):
+            fr[i] = kernel._fractions(p0[i], p1[i])
     return out
+
+
+def _faces(normals, P0, P1, tol):
+    # normals: (k, d) inward face normals of a convex cone. Both ends inside
+    # every face, or both beyond one face, by tol: the segment lies inside,
+    # or outside, throughout
+    A0, A1 = normals @ P0.T, normals @ P1.T                     # (k, n) each
+    lo, hi = np.minimum(A0[0], A1[0]), np.maximum(A0[0], A1[0])
+    for j in range(1, len(normals)):
+        np.minimum(lo, np.minimum(A0[j], A1[j]), out=lo)
+        np.minimum(hi, np.maximum(A0[j], A1[j]), out=hi)
+    return lo > tol, hi < -tol
 
 
 def _midpoint_fractions(cone: Cone, P0, P1, ts) -> np.ndarray:
@@ -177,13 +260,29 @@ class AngularCone(Cone):
         # ||v/||v|| - u||^2 = 2 - 2 cos(angle) < ap^2  <=>  cos > 1 - ap^2/2
         self.cos_threshold = 1.0 - 0.5 * aperture * aperture
         self.d = len(u)
+        # the screen's convex cone K in d = 2: this cone if cos_threshold > 0,
+        # else the closure of its complement; its two boundary lines, by
+        # their inward unit normals. No screen in d >= 3
+        self._convex = self.cos_threshold > 0.0
+        if self.d == 2:
+            c = abs(self.cos_threshold)
+            s = np.sqrt(1.0 - c * c)
+            w = self.axis if self._convex else -self.axis
+            w_perp = np.array([-w[1], w[0]])
+            self._normals = np.stack([s * w - c * w_perp, s * w + c * w_perp])
+        else:
+            self._screen = None         # _by_blocks: every row takes the closed form
 
     def contains(self, V):
         (V,) = _into_band(np.asarray(V))
         return V @ self.axis > self.cos_threshold * _norm(V)
 
     def segment_fraction(self, P0, P1):
-        return _by_blocks(self._fractions, P0, P1)
+        return _by_blocks(self, P0, P1)
+
+    def _screen(self, P0, P1, m):
+        in_k, out_k = _faces(self._normals, P0, P1, MARGIN * m)
+        return (in_k, out_k) if self._convex else (out_k, in_k)
 
     def _fractions(self, P0, P1):
         P0, P1 = _into_band(P0, P1)
@@ -240,7 +339,15 @@ class BallWindow:
         return _norm(V) < self.M
 
     def segment_fraction(self, P0, P1):
-        return _by_blocks(self._fractions, P0, P1)
+        return _by_blocks(self, P0, P1)
+
+    def _screen(self, P0, P1, m):
+        # both ends inside the convex ball, or both farther from the centre
+        # than M plus the segment's length, by the relative MARGIN
+        n0, n1 = _norm(P0), _norm(P1)
+        inside = np.maximum(n0, n1) * (1.0 + MARGIN) < self.M
+        far = np.minimum(n0, n1) >= (self.M + _norm(P1 - P0)) * (1.0 + MARGIN)
+        return inside, far
 
     def _fractions(self, P0, P1):
         # ||P0 + s q||^2 < M^2 is convex in s: inside exactly between roots

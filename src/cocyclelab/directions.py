@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import ROWS, _norm
+from .cones import ROWS, _true_norm
 from .engine import CocycleTrace, ergodic_sums
 from .errors import ConfigInvalid
 from .observables import ObservableSpec
@@ -112,15 +112,12 @@ class DirectionHistogram:
             self.visited_traces + other.visited_traces,
             self.n_traces + other.n_traces, self.total_steps + other.total_steps)
 
-    def visited_at(self, i: int) -> np.ndarray:
-        return self.counts[i] > 0
-
 
 def _cells_and_norms(values: np.ndarray, mesh: SphereMesh):
     # cell and norm of every row with a positive finite norm, ROWS rows at a
     # time so the temporaries stay in cache: 9 bytes a row for the 72-arc mesh;
-    # a zero, NaN or infinite norm (an infinite coordinate, or squares that
-    # overflow) gives no direction, so its row is dropped
+    # a zero, NaN or infinite norm (an infinite coordinate, or a true norm
+    # past the float64 range) gives no direction, so its row is dropped
     n = len(values)
     cells = np.empty(n, dtype=np.min_scalar_type(mesh.K))
     norms = np.empty(n)
@@ -128,7 +125,7 @@ def _cells_and_norms(values: np.ndarray, mesh: SphereMesh):
     kept = 0
     for lo in range(0, n, ROWS):
         V = values[lo:lo + ROWS]
-        nrm = _norm(V)
+        nrm = _true_norm(V)
         nz = (nrm > 0.0) & (nrm < np.inf)
         if not nz.all():
             V, nrm = V[nz], nrm[nz]
@@ -165,7 +162,8 @@ def hist_from_values(values: np.ndarray, mesh: SphereMesh,
     """Histogram of one trajectory's partial-sum rows (row 0 may be 0).
 
     Rows whose norm is zero, NaN or infinite have no direction and are
-    not counted; an infinite coordinate gives an infinite norm.
+    not counted; an infinite coordinate gives an infinite norm, and a
+    finite row counts with its true norm even where its squares overflow.
     """
     return _histogram(*_cells_and_norms(values, mesh), mesh, thresholds, len(values))
 
@@ -202,12 +200,6 @@ class DirectionEstimate:
     cells: np.ndarray                 # sorted cell indices
     quorum: float
     histogram: DirectionHistogram
-
-    @property
-    def mask(self) -> np.ndarray:
-        out = np.zeros(self.histogram.mesh.K, dtype=bool)
-        out[self.cells] = True
-        return out
 
 
 def direction_set_estimate(hist: DirectionHistogram,
@@ -258,7 +250,7 @@ def _scan_seed(system: SystemSpec, obs: ObservableSpec, seed, N: int,
                mesh: SphereMesh):
     # a fresh trace's terminal norm and compact rows; the trace is dropped on return
     tr = ergodic_sums(system, obs, sample_initial(system, seed), N, checkpoint_every=None)
-    return _norm(tr.values[-1]), _cells_and_norms(tr.values[1:], mesh)
+    return _true_norm(tr.values[-1]), _cells_and_norms(tr.values[1:], mesh)
 
 
 def direction_scan(system: SystemSpec, obs: ObservableSpec, N: int, seeds,

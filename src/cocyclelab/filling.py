@@ -40,14 +40,6 @@ class MinProcess:
     m_shift: np.ndarray    # m_shift[n] = same at Tx, n = 1..N
     phi0: float            # phi(x)
 
-    @property
-    def m_plus(self) -> np.ndarray:
-        return np.maximum(self.m, 0.0)
-
-    @property
-    def m_minus(self) -> np.ndarray:
-        return np.maximum(-self.m, 0.0)
-
     def decomposition_residual(self) -> float:
         """|phi(x) - [m_N^-(Tx) - m_{N+1}^-(x) + m_{N+1}^+(x)]|; ~0 by algebra."""
         m_shift_minus = max(-self.m_shift[self.N], 0.0)

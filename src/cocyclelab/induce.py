@@ -122,14 +122,6 @@ class InducedTrace:
     values: np.ndarray            # (n+1, d)
     cap: int
 
-    @property
-    def n_returns(self) -> int:
-        return len(self.return_times)
-
-    def return_state(self, k: int) -> SystemState:
-        """Orbit state at the k-th return (1-based), i.e. T_B^k x."""
-        return state_at(self.system, self.state0, int(self.return_times[k - 1]))
-
 
 def _scan_returns(system, B, state, n_returns, cap, obs=None):
     """Stream the orbit, yielding return indices (and sums at them).

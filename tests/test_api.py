@@ -1,5 +1,6 @@
-"""The public surface: every exported name is used by the package or the
-benchmark, and no module carries an import it does not use."""
+"""The public surface: every exported name, and every public method and
+property of an exported class, is used by the package or the benchmark,
+and no module carries an import it does not use."""
 
 import ast
 import functools
@@ -70,6 +71,31 @@ def test_exported_name_is_used(name):
         assert not references(name), f"{name} is used now; drop it from the allowlist"
         return
     assert references(name), f"{name} is exported but nothing in src/ or bench/ uses it"
+
+
+def public_members():
+    # (class, member) for each public method or property an exported class defines
+    out = []
+    for name in cl.__all__:
+        obj = getattr(cl, name)
+        if isinstance(obj, type):
+            out += [(name, k) for k, v in vars(obj).items() if not k.startswith("_")
+                    and (callable(v) or isinstance(v, (property, classmethod, staticmethod)))]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def attribute_uses() -> Counter:
+    # attribute names read anywhere in src/cocyclelab (bar __init__) and bench/
+    return Counter(n.attr for path in MODULES + sorted((ROOT / "bench").glob("*.py"))
+                   for n in ast.walk(parse(path)) if isinstance(n, ast.Attribute))
+
+
+@pytest.mark.parametrize("cls, member", public_members(),
+                         ids=[f"{c}.{m}" for c, m in public_members()])
+def test_public_member_is_used(cls, member):
+    assert attribute_uses()[member], \
+        f"{cls}.{member} is public but nothing in src/ or bench/ reads it"
 
 
 def test_all_matches_the_package_namespace():

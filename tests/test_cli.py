@@ -270,6 +270,10 @@ GOLDEN = {
         ["brownian", "--cone", "angular:1,0,0.5", "--samples", "20", "--seed", "12"],
         "e4b518e094c8161540c055eb5142b8902241083f648dfd5bf7105f3e3a2933ea",
         "23e1a1594a9d25be583a55e7d1d317199fbf3ee4f842bf03159320bea8d6af19"),
+    "brownian.angular.complement": (
+        ["brownian", "--cone", "!angular:1,0,0.5", "--samples", "20", "--seed", "13"],
+        "38e9dea685370fa791abc6dfdddae3798ed8fc4eec7d2431355f077a8cd76b0c",
+        "6ae5249d3d8dd2393338a35fd3aa14cf802f4d36da4caf8561bfc3482f76c419"),
 }
 
 

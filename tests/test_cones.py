@@ -392,25 +392,34 @@ def test_midpoint_kernels_match_full_path_across_blocks(d):
         assert_matches_full_path(cone, 0.01 * P[:-1], 0.01 * P[1:])
 
 
+def closed_form_rows(kernel):
+    # count the rows that reach kernel._fractions (the closed form)
+    rows = []
+    fractions = kernel._fractions
+    kernel._fractions = lambda P0, P1: (rows.append(len(P0)), fractions(P0, P1))[1]
+    return rows
+
+
 def test_angular_kernel_work_on_a_rademacher_walk():
-    # deterministic performance check: on a 2^16-step walk only the segments
-    # that cross the cone boundary (0.12% at 2^20) take the full midpoint
-    # path, and the kernel's temporaries stay a small multiple of its output
+    # deterministic performance check: on a 2^16-step walk the screen decides
+    # all but the segments near a boundary (0.25% angular, 0.29% ball here),
+    # and only those take the closed form; the kernel's temporaries stay a
+    # small multiple of its output
     n = 1 << 16
     sysm = cl.iid_shift("rademacher", d=2, seed=1)
     tr = cl.ergodic_sums(sysm, cl.iid_increment("rademacher", 2),
                          cl.sample_initial(sysm, 1), n, checkpoint_every=None)
     P0, P1 = tr.values[:-1], tr.values[1:]
     cone = cl.parse_cone("angular:1,0,0.5")
+    ball = BallWindow(10.0)
     assert_matches_full_path(cone, P0, P1)
-    tested = []
-    contains = cone.contains
-    cone.contains = lambda V: (tested.append(len(V)), contains(V))[1]
-    cone.segment_fraction(P0, P1)
-    del cone.contains
-    # one membership test per segment, plus one per piece (three) per crossing
-    crossing = (sum(tested) - n) / 3
-    assert 0 < crossing < 0.01 * n
+    assert ball.segment_fraction(P0, P1).tobytes() == \
+        unblocked_ball_fraction(10.0, P0, P1).tobytes()
+    for kernel, bound in ((cone, 0.01), (ball, 0.02)):
+        rows = closed_form_rows(kernel)
+        kernel.segment_fraction(P0, P1)
+        del kernel._fractions
+        assert 0 < sum(rows) < bound * n
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -475,3 +484,146 @@ def test_ball_kernel_temporaries_are_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak / n < 24
+
+
+# Rows the screen must decide right, or leave to the closed form: ends a
+# hair inside or outside a boundary, segments through the apex or nearly
+# along a boundary ray, and every row scale the band treats apart. The
+# screened kernels (planar angular cones and the ball) must give the bytes
+# of the unscreened references above; the unscreened ones (angular cones
+# in d >= 3, orthants) keep them too.
+
+APERTURES = (0.1, 0.5, 1.0, 1.4, SQRT2, 1.6, 1.9)
+SCALES = (2.0 ** -40, 2.0 ** -40 * (1 - 2.0 ** -53), 2.0 ** 200,
+          2.0 ** 200 * (1 + 2.0 ** -52), 1e300, 1e-310, 5e-324)
+
+
+def unit(V):
+    return V / np.linalg.norm(V, axis=-1, keepdims=True)
+
+
+def near_rays(rng, axis, aperture, n):
+    # ends within 1e-16 to 1e-3 rad of a boundary ray (or its mirror, which
+    # the squared closed form also crosses), or a quarter at any angle, at
+    # radii 1e-3 to 1e6
+    d = len(axis)
+    u = unit(np.asarray(axis, dtype=np.float64))
+    e = unit(rng.standard_normal((n, d)))
+    e = unit(e - (e @ u)[:, None] * u)                         # unit, normal to u
+    theta = np.arccos(1.0 - 0.5 * aperture * aperture)
+    theta = theta + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16, -3, n)
+    theta = np.where(rng.random(n) < 0.2, np.pi - theta, theta)
+    theta = np.where(rng.random(n) < 0.25, rng.uniform(0.0, np.pi, n), theta)
+    r = 10.0 ** rng.uniform(-3, 6, n)
+    return r[:, None] * (np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * e)
+
+
+def adversarial_segments(rng, ends):
+    # ends(n) draws n points; segments between two of them, a seventh
+    # through the apex, and short ones nearly along the ray of their start
+    n = 6000
+    P0, P1 = ends(n), ends(n)
+    k = n // 7
+    P1[:k] = -10.0 ** rng.uniform(-3, 3, k)[:, None] * P0[:k]
+    tilt = 1.0 + 1e-9 * rng.standard_normal(P0[k:2 * k].shape)
+    P1[k:2 * k] = P0[k:2 * k] * (tilt + 10.0 ** rng.uniform(-12, 0, k)[:, None])
+    P1[2 * k:3 * k] = P0[2 * k:3 * k] + 1e-6 * ends(k)
+    return P0, P1
+
+
+def band_rows(P0, P1):
+    # the segments as drawn, then scaled to a largest |coordinate| of each
+    # value in SCALES, then with one end at 1e300 and the other at 1e-300
+    m = np.abs(np.concatenate([P0, P1], axis=1)).max(axis=1, keepdims=True)
+    Q0, Q1 = P0 / m, P1 / m
+    return (np.concatenate([P0] + [s * Q0 for s in SCALES] + [Q0, 1e300 * Q0]),
+            np.concatenate([P1] + [s * Q1 for s in SCALES] + [1e-300 * Q1, Q1]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("aperture", APERTURES)
+def test_screened_angular_kernel_matches_the_reference(d, aperture):
+    rng = np.random.default_rng(int(1000 * aperture) + d)
+    u = rng.standard_normal(d)
+    cone = AngularCone(u, aperture)
+    P0, P1 = band_rows(*adversarial_segments(rng, lambda n: near_rays(rng, u, aperture, n)))
+    rows = closed_form_rows(cone)
+    with np.errstate(all="ignore"):
+        got = cone.segment_fraction(P0, P1)
+        want = full_angular_fraction(cone, P0, P1)
+        assert np.array_equal(cone.contains(P1), norm_angular_contains(cone, P1))
+    assert got.tobytes() == want.tobytes()
+    if d == 2:
+        assert 0 < sum(rows) < len(P0)                 # the screen decided some rows
+    else:
+        assert sum(rows) == len(P0)                    # no screen in d >= 3
+
+
+def test_a_lone_undecided_row_keeps_its_bytes():
+    # a segment of a planar Cauchy walk, nearly tangent to the cone's
+    # boundary: matmul over this one row rounds <P0,u> another way than over
+    # many, and the fraction moves from 0.031 to 0. When it is the only row
+    # of its block the screen leaves open, it must still get the reference
+    # bytes
+    cone = AngularCone([1.0, 0.3], SQRT2)
+    p0 = np.array([-49176.45038244226, 188389.36737619896])
+    p1 = np.array([-304737.23264893104, 250639.89443084013])
+    inside = np.array([[1.0, 0.0], [2.0, 0.1]])
+    for k in (0, 1, 5, cl.cones.ROWS - 1):
+        P0 = np.concatenate([np.tile(inside[0], (k, 1)), [p0],
+                             np.tile(inside[0], (7, 1))])
+        P1 = np.concatenate([np.tile(inside[1], (k, 1)), [p1],
+                             np.tile(inside[1], (7, 1))])
+        rows = closed_form_rows(cone)
+        got = cone.segment_fraction(P0, P1)
+        del cone._fractions
+        assert got.tobytes() == full_angular_fraction(cone, P0, P1).tobytes()
+        assert got[k] > 0.03 and 1 < sum(rows) <= 3
+
+
+@pytest.mark.parametrize("signs", [[1, -1], [1, -1, 1]])
+def test_orthant_kernel_matches_the_reference_near_its_faces(signs):
+    d = len(signs)
+    rng = np.random.default_rng(d)
+    cone = Orthant(signs)
+
+    def near_faces(n):
+        # some coordinates within 1e-16 to 1e-3 (relative) of a face, of either sign
+        P = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 6, (n, 1))
+        near = rng.random((n, d)) < 0.5
+        tiny = rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(-16, -3, (n, d))
+        return np.where(near, tiny * np.abs(P).max(axis=1, keepdims=True), P)
+
+    P0, P1 = band_rows(*adversarial_segments(rng, near_faces))
+    with np.errstate(all="ignore"):
+        got = cone.segment_fraction(P0, P1)
+        want = full_orthant_fraction(cone, P0, P1)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("M", [1.0, 10.0, 1e3])
+def test_screened_ball_kernel_matches_the_reference(d, M):
+    rng = np.random.default_rng(int(M) + d)
+
+    def near_sphere(n):
+        # norms within 1e-16 to 1e-3 (relative) of M, inside or out; a fifth
+        # at 1e-3 to 1e3 times M
+        eta = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16, -3, n)
+        r = np.where(rng.random(n) < 0.2, 10.0 ** rng.uniform(-3, 3, n), 1.0 + eta)
+        return M * r[:, None] * unit(rng.standard_normal((n, d)))
+
+    P0, P1 = adversarial_segments(rng, near_sphere)
+    # tangent to the sphere, touching it near an end
+    k = len(P0) // 7
+    t = unit(rng.standard_normal((k, d)))
+    t = unit(t - np.einsum("ij,ij->i", t, unit(P0[:k]))[:, None] * unit(P0[:k]))
+    P1[3 * k:4 * k] = P0[:k] + M * 10.0 ** rng.uniform(-8, 1, k)[:, None] * t
+    P0, P1 = band_rows(P0, P1)
+    ball = BallWindow(M)
+    rows = closed_form_rows(ball)
+    with np.errstate(all="ignore"):
+        got = ball.segment_fraction(P0, P1)
+        want = unblocked_ball_fraction(M, P0, P1)
+    assert got.tobytes() == want.tobytes()
+    assert 0 < sum(rows) < len(P0)

@@ -54,8 +54,8 @@ def test_constant_vector_occupies_one_cell():
     mesh = dr.make_mesh(2)
     h = dr.hist_from_trace(tr, mesh, np.array([1.0, 10.0, 100.0]))
     for i in range(3):
-        assert int(h.visited_at(i).sum()) == 1
-    assert h.visited_at(0).argmax() == h.visited_at(2).argmax()
+        assert int((h.counts[i] > 0).sum()) == 1
+    assert (h.counts[0] > 0).argmax() == (h.counts[2] > 0).argmax()
 
 
 def test_coboundary_histogram_empties_beyond_bound():
@@ -77,7 +77,7 @@ def test_nesting_and_exact_totals():
         assert h.counts[i].sum() == int(np.sum(tr.norms[1:] > M))
         if i:
             assert np.all(h.counts[i] <= h.counts[i - 1])
-            assert not np.any(h.visited_at(i) & ~h.visited_at(i - 1))
+            assert not np.any((h.counts[i] > 0) & ~(h.counts[i - 1] > 0))
 
 
 def test_histogram_merge_is_monoidal():
@@ -135,7 +135,7 @@ def test_shift_stability_of_visited_cells():
         for i, M in enumerate(lad):
             if M < absorb:
                 continue
-            assert int(np.sum(h_x.visited_at(i) != h_tx.visited_at(i))) <= 2
+            assert int(np.sum((h_x.counts[i] > 0) != (h_tx.counts[i] > 0))) <= 2
 
 
 def test_recurrence_verdicts():
@@ -195,7 +195,7 @@ def test_transient_top_cells_form_one_arc():
     tr = rademacher_trace(8, 8, 200_000)
     mesh = dr.make_mesh(2)
     h = dr.hist_from_trace(tr, mesh, np.array([0.75 * float(tr.norms.max())]))
-    mask = h.visited_at(0)
+    mask = h.counts[0] > 0
     assert mask.any() and np.sum(mask & ~np.roll(mask, 1)) <= 1   # one circular run
 
 
@@ -359,6 +359,31 @@ def test_direction_scan_builds_one_trace_per_seed(monkeypatch):
     assert sorted(built) == [(7, 0), (7, 1), (7, 2)]
 
 
+def test_direction_scan_keeps_terminal_norms_whose_squares_overflow(monkeypatch):
+    # every row scaled by 2^700 (terminal norms near 1e212): the terminal
+    # norms, the default ladder and the histogram are those of the unscaled
+    # walks, times 2^700 where they are norms
+    sysm = cl.iid_shift("rademacher", d=2, seed=4)
+    obs = cl.iid_increment("rademacher", 2)
+    est, terms = cl.direction_scan(sysm, obs, 3000, [0, 1, 2])
+    real = dr.ergodic_sums
+
+    def scaled(*args, **kwargs):
+        tr = real(*args, **kwargs)
+        tr.values = np.ldexp(tr.values, 700)
+        return tr
+
+    monkeypatch.setattr(dr, "ergodic_sums", scaled)
+    with np.errstate(over="raise"):
+        big, big_terms = cl.direction_scan(sysm, obs, 3000, [0, 1, 2])
+    assert big_terms.tobytes() == np.ldexp(terms, 700).tobytes()
+    assert big.histogram.thresholds.tobytes() == \
+        np.ldexp(est.histogram.thresholds, 700).tobytes()
+    assert np.array_equal(big.histogram.counts, est.histogram.counts)
+    assert est.histogram.counts[0].sum() > 0
+    assert np.array_equal(big.cells, est.cells)
+
+
 def traced_peak(fn) -> int:
     # peak bytes traced while fn runs, above what was live when it started
     tracemalloc.start()
@@ -414,16 +439,19 @@ def test_rows_with_an_infinite_coordinate_are_dropped(d):
                           st.sampled_from([np.inf, -np.inf, np.nan, 1e200, 0.0])),
                 max_size=30))
 def test_finite_rows_keep_their_cells_and_norms(law, d, seed, n, bad):
-    # rows with an infinite coordinate or an overflowing norm are dropped
-    # with zero and NaN rows; every other row keeps the bytes of the kernel
-    # before blocking
+    # rows with an infinite coordinate are dropped with zero and NaN rows;
+    # every other row keeps the bytes of the kernel before blocking, and a
+    # row whose squares overflow (1e200) those of the row at 2^-200 of its
+    # scale, with its norm scaled back
     values = walk_values(law, d, seed, n)
     for i, j, x in bad:
         values[i % n, j % d] = x
     mesh = dr.make_mesh(d)
-    with np.errstate(over="ignore"):
-        cells, norms = dr._cells_and_norms(values, mesh)
-        finite = np.isfinite(_norm(values))
-    want_cells, want_norms = cells_and_norms_before(values[finite], mesh)
+    cells, norms = dr._cells_and_norms(values, mesh)
+    finite = np.isfinite(values).all(axis=1)
+    big = (np.abs(values[finite]) > 1e154).any(axis=1)
+    rows = np.where(big[:, None], np.ldexp(values[finite], -200), values[finite])
+    want_cells, want_norms = cells_and_norms_before(rows, mesh)
+    want_norms = np.where(big[_norm(rows) > 0.0], np.ldexp(want_norms, 200), want_norms)
     assert norms.tobytes() == want_norms.tobytes()
     assert np.array_equal(cells, want_cells)

@@ -41,8 +41,9 @@ def test_min_is_monotone_and_split_is_disjoint():
                         cl.sample_initial(sysm, 1), 500)
     m = mp.m[1:]
     assert np.all(np.diff(m) <= 0.0)
-    assert np.array_equal(m, mp.m_plus[1:] - mp.m_minus[1:])
-    assert np.all(mp.m_plus[1:] * mp.m_minus[1:] == 0.0)
+    m_plus, m_minus = np.maximum(mp.m, 0.0), np.maximum(-mp.m, 0.0)
+    assert np.array_equal(m, m_plus[1:] - m_minus[1:])
+    assert np.all(m_plus[1:] * m_minus[1:] == 0.0)
 
 
 def test_decomposition_residual_vanishes():

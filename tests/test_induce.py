@@ -89,7 +89,8 @@ def test_induced_sums_are_additive():
     st0 = cl.first_entry(sysm, B, cl.sample_initial(sysm, 0), CAP)
     it = cl.induced_trace(sysm, obs, B, st0, 60, CAP)
     for n, p in ((1, 2), (10, 25), (30, 30)):
-        tail = cl.induced_trace(sysm, obs, B, it.return_state(n), p, CAP)
+        state = cl.state_at(sysm, it.state0, int(it.return_times[n - 1]))    # T_B^n x
+        tail = cl.induced_trace(sysm, obs, B, state, p, CAP)
         resid = np.abs(it.values[n + p] - it.values[n] - tail.values[p])
         assert np.max(resid) <= 1e-12
 

@@ -14,6 +14,7 @@ runtime errors such as a return-time cap overflow.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -22,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import acceptance as acc
 from . import brownian as br
@@ -43,19 +43,92 @@ WRITE_ROWS = 1 << 14       # CSV rows encoded per write
 
 # ---------------------------------------------------------------- config
 
+# The schema files are the contract. They use a subset of JSON Schema draft
+# 2020-12, checked below with the reference validator's paths and messages; a
+# schema with any other keyword is refused on load, not left unenforced.
+_TYPES = {"object": dict, "string": str, "array": list, "boolean": bool,
+          "number": (int, float), "integer": int}
+_KEYWORDS = {"$schema", "title", "type", "enum", "const", "minimum", "maximum",
+             "exclusiveMinimum", "minLength", "minItems", "items", "properties",
+             "required", "additionalProperties", "oneOf"}
+_BOUNDS = {"minimum": (lambda x, b: x < b, "less than the minimum"),
+           "exclusiveMinimum": (lambda x, b: x <= b, "less than or equal to the minimum"),
+           "maximum": (lambda x, b: x > b, "greater than the maximum")}
+_SIZED = {"minLength": "string", "minItems": "array"}
+
+
+def _supported(schema: dict) -> dict:
+    if (set(schema) - _KEYWORDS or schema.get("additionalProperties") not in (None, False)
+            or schema.get("type", "object") not in [*_TYPES]):
+        raise ValueError(f"schema uses what the validator does not check: {schema}")
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", []),
+                *([schema["items"]] if "items" in schema else [])]:
+        _supported(sub)
+    return schema
+
+
+@functools.cache
 def _load_schema(name: str) -> dict:
     text = resources.files("cocyclelab").joinpath("schemas", name).read_text()
-    return json.loads(text)
+    return _supported(json.loads(text))
+
+
+def _is(x, kind: str) -> bool:
+    # a bool is no number, and an integral float is an integer
+    if isinstance(x, bool):
+        return kind == "boolean"
+    return isinstance(x, _TYPES[kind]) or (kind == "integer" and isinstance(x, float)
+                                           and x.is_integer())
+
+
+def _same(x, y) -> bool:
+    return x == y and isinstance(x, bool) == isinstance(y, bool)
+
+
+def _schema_errors(schema: dict, x, path: str = "$"):
+    """(JSON path, message) of each rule x breaks, in schema order."""
+    for key, v in schema.items():
+        if key == "type" and not _is(x, v):
+            yield path, f"{x!r} is not of type {v!r}"
+        elif key == "enum" and not any(_same(x, e) for e in v):
+            yield path, f"{x!r} is not one of {v!r}"
+        elif key == "const" and not _same(x, v):
+            yield path, f"{v!r} was expected"
+        elif key in _BOUNDS and _is(x, "number") and _BOUNDS[key][0](x, v):
+            yield path, f"{x!r} is {_BOUNDS[key][1]} of {v!r}"
+        elif key in _SIZED and _is(x, _SIZED[key]) and len(x) < v:
+            yield path, f"{x!r} " + ("should be non-empty" if v == 1 else "is too short")
+        elif key == "items" and _is(x, "array"):
+            for i, item in enumerate(x):
+                yield from _schema_errors(v, item, f"{path}[{i}]")
+        elif key == "properties" and _is(x, "object"):
+            for name, sub in v.items():
+                if name in x:
+                    yield from _schema_errors(sub, x[name], f"{path}.{name}")
+        elif key == "required" and _is(x, "object"):
+            yield from ((path, f"{name!r} is a required property") for name in v
+                        if name not in x)
+        elif key == "additionalProperties" and _is(x, "object"):
+            extra = sorted(k for k in x if k not in schema.get("properties", {}))
+            if extra:
+                yield path, "Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")
+        elif key == "oneOf":
+            ok = [sub for sub in v if next(_schema_errors(sub, x), None) is None]
+            if not ok:
+                yield path, f"{x!r} is not valid under any of the given schemas"
+            elif len(ok) > 1:
+                shown = ", ".join(map(repr, ok[1:] + ok[:1]))
+                yield path, f"{x!r} is valid under each of {shown}"
 
 
 def validate_config(cfg: dict) -> None:
-    schema = _load_schema("config.schema.json")
-    errors = sorted(Draft202012Validator(schema).iter_errors(cfg),
-                    key=lambda e: e.json_path)
-    if errors:
-        e = errors[0]
-        field = e.json_path[2:] or "config"
-        raise ConfigInvalid(field, e.message)
+    # the first error in JSON-path order names the field
+    error = min(_schema_errors(_load_schema("config.schema.json"), cfg),
+                key=lambda e: e[0], default=None)
+    if error:
+        path, message = error
+        raise ConfigInvalid(path[2:] or "config", message)
 
 
 def config_fingerprint(cfg: dict) -> str:
@@ -441,8 +514,8 @@ def _op_accept(cfg: dict, fp: str) -> int:
     print(acc.format_report(results))
     report = acc.report_dict(results)
     report["fingerprint"] = fp
-    schema = _load_schema("accept_report.schema.json")
-    Draft202012Validator(schema).validate(report)
+    for path, message in _schema_errors(_load_schema("accept_report.schema.json"), report):
+        raise RuntimeError(f"accept report breaks its schema at {path}: {message}")
     base = cfg.get("out") or "."
     os.makedirs(base, exist_ok=True)
     _write_summary(os.path.join(base, "accept_report.json"), report)
@@ -517,9 +590,7 @@ def _assemble(args: argparse.Namespace) -> dict:
     if getattr(args, "obs", None):
         cfg["observable"] = args.obs
     params = dict(cfg.get("parameters") or {})
-    for flag in ("N", "checkpoint_every", "set", "returns", "cap", "seeds",
-                 "thresholds", "quorum", "epsilon", "cone", "grid", "M",
-                 "t", "h", "samples", "criteria"):
+    for flag in _load_schema("config.schema.json")["properties"]["parameters"]["properties"]:
         v = getattr(args, flag, None)
         if v is None:
             continue

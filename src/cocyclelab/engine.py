@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import _norm
+from .cones import _true_norm
 from .errors import MissingCheckpoint, NotInvertible
 from .observables import ObservableSpec
 from .systems import SystemSpec, SystemState, detached, orbit_span, state_in_span
@@ -45,7 +45,7 @@ class CocycleTrace:
     @property
     def norms(self) -> np.ndarray:
         if self._norms is None:
-            self._norms = _norm(self.values)
+            self._norms = _true_norm(self.values)
         return self._norms
 
     def state_at_step(self, n: int) -> SystemState:

@@ -20,6 +20,9 @@ class CapExceeded(CocycleLabError):
         self.cap = cap
         super().__init__(message or f"no return within cap={cap}")
 
+    def __reduce__(self):            # pickle through a process pool
+        return type(self), (self.cap, str(self))
+
 
 class MissingCheckpoint(CocycleLabError):
     """Identity check requested at a step that is not on the checkpoint grid."""
@@ -33,5 +36,8 @@ class ConfigInvalid(CocycleLabError):
     """Configuration rejected before running; names the offending field."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"{field}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.field, self.message)

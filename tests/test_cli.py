@@ -1,11 +1,14 @@
 """Command-line runner: outputs, determinism, exit codes, config validation."""
 
+import copy
 import hashlib
 import json
+import pickle
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclelab
-from cocyclelab import cli
+from cocyclelab import acceptance as acc
+from cocyclelab import cli, errors
 
 
 def write_config(tmp_path, body, name="cfg.json"):
@@ -143,6 +147,26 @@ def test_schema_rejects_unknown_fields(tmp_path, capsys):
     })
     assert cli.main(["trace", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "bogus_knob" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("err", [
+    errors.ConfigInvalid("grid", "x"), errors.CapExceeded(5), errors.CapExceeded(7, "late"),
+    errors.NotInvertible("no"), errors.MissingCheckpoint("gone"), errors.MismatchError("off"),
+], ids=["ConfigInvalid", "CapExceeded", "CapExceeded-message", "NotInvertible",
+        "MissingCheckpoint", "MismatchError"])
+def test_errors_survive_pickling(err):
+    # a pooled task hands its error back to the parent by pickle
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is type(err)
+    assert str(back) == str(err) and vars(back) == vars(err)
+
+
+def test_config_error_in_a_pooled_task_is_a_config_error(tmp_path, capsys):
+    code = cli.main(["sojourn", "--system", "iid-shift:gaussian:2", "--obs", "iid(gaussian,d=2)",
+                     "--cone", "halfspace:0,1", "--N", "100", "--grid", "10,1000",
+                     "--seeds", "2", "--jobs", "2", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: grid:")
 
 
 def test_runtime_cap_is_a_declared_error(tmp_path, capsys):
@@ -301,12 +325,16 @@ def test_brownian_step_size_is_a_config_error(tmp_path, capsys, cone, h):
     assert not (out / "brownian.csv").exists()
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("stack", [
+    ["scipy"],
+    ["jsonschema", "referencing", "rpds", "jsonschema_specifications"],
+], ids=["scipy", "jsonschema"])
+def test_cli_import_loads_no_stack(stack):
     # a fresh interpreter, so modules loaded by other tests do not count
     src = str(Path(cocyclelab.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import cocyclelab, cocyclelab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in sys.argv[2:]))")
+    out = subprocess.run([sys.executable, "-c", code, src, *stack], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
 
@@ -441,3 +469,167 @@ def test_writer_memory_per_row(tmp_path, kind):
     finally:
         tracemalloc.stop()
     assert peak / N < 24
+
+
+# ------------------------------------------------------------ schema check
+# The package checks configs and accept reports with its own validator for
+# the schema subset it ships; jsonschema is the oracle here, as scipy is in
+# test_brownian.py.
+
+def agrees_with_reference(schema, x):
+    """The first error of x in JSON-path order, once all of them agree with
+    the reference (None if there are none)."""
+    from jsonschema import Draft202012Validator
+    expected = sorted(((e.json_path, e.message) for e in Draft202012Validator(schema)
+                       .iter_errors(x)), key=lambda e: e[0])
+    assert sorted(cli._schema_errors(schema, x), key=lambda e: e[0]) == expected
+    return expected[0] if expected else None
+
+
+CONFIG_SCHEMA = cli._load_schema("config.schema.json")
+_POS_INT = st.integers(1, 2**40)
+_POS_FLOAT = st.floats(0, 1e12, exclude_min=True)
+_PARAMS = {
+    "N": _POS_INT, "checkpoint_every": _POS_INT, "set": st.text(max_size=6),
+    "returns": _POS_INT, "cap": _POS_INT, "seeds": _POS_INT,
+    "thresholds": st.lists(_POS_FLOAT, min_size=1, max_size=3),
+    "quorum": st.floats(0, 1, exclude_min=True), "epsilon": _POS_FLOAT,
+    "cone": st.text(max_size=6), "grid": st.just("dyadic") | st.lists(_POS_INT, min_size=1,
+                                                                       max_size=3),
+    "M": _POS_FLOAT, "t": _POS_FLOAT, "h": _POS_FLOAT, "samples": _POS_INT,
+    "criteria": st.lists(st.integers(1, 16), min_size=1, max_size=3),
+}
+_OP_PARAMS = {"trace": ["N", "checkpoint_every"], "induce": ["set", "returns", "cap"],
+              "directions": ["N", "seeds", "thresholds", "quorum", "epsilon"],
+              "filling": ["N", "seeds"], "sojourn": ["cone", "N", "grid", "seeds", "M"],
+              "brownian": ["cone", "t", "h", "samples"], "accept": ["criteria"]}
+_SYSTEMS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("rotation"),
+                           "alpha": st.sampled_from(["golden", "sqrt2m1", "sqrt3m1"])}),
+    st.fixed_dictionaries({"kind": st.sampled_from(["doubling", "cat-map"])},
+                          optional={"seed": st.integers(-2**70, 2**70)}),
+    st.fixed_dictionaries({"kind": st.just("iid-shift"), "d": st.integers(1, 4),
+                           "law": st.sampled_from(["rademacher", "gaussian", "cauchy"])}))
+
+
+def valid_configs(op):
+    walk = {} if op in ("brownian", "accept") else {
+        "system": _SYSTEMS, "observable": st.text(min_size=1, max_size=6)}
+    params = st.lists(st.sampled_from(_OP_PARAMS[op]), min_size=1, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({k: _PARAMS[k] for k in names}))
+    return st.fixed_dictionaries(
+        {"operation": st.just(op), "seed": st.integers(-2**63, 2**63 - 1), "parameters": params,
+         **walk}, optional={"jobs": st.integers(1, 4), "out": st.text(max_size=6)})
+
+
+# wrong types, a bool in a number slot, out-of-range numbers, empty lists and
+# strings, and grids that are neither "dyadic" nor a list of ints
+_ODD_NUMBERS = [0, -1, 0.0, -0.5, 0.5, 1.5, 16, 17, 2.0**70, float("nan")]
+_ODD_VALUES = [True, False, None, "", "x", "dyadic", [], [0], [1.5], [2.0], ["a"], [True],
+               {}, {"x": 1}, *_ODD_NUMBERS]
+_GRIDS = ["dyadic", "linear", "", [], [0], [1, -1], [1.5], [2.0], ["a"], [True], 3, None, {}]
+
+
+def entries(x):
+    """(container, key) of every entry of x, nested ones included."""
+    for k, v in list(x.items() if isinstance(x, dict) else enumerate(x)):
+        yield x, k
+        if isinstance(v, (dict, list)):
+            yield from entries(v)
+
+
+def mutate(data, x, keys):
+    """x with one entry given an odd value, made an integral float, deleted or
+    added; `keys` are the names an added entry may take."""
+    spots = list(entries(x))
+    how = data.draw(st.sampled_from(["odd", "number", "float", "delete", "add"]))
+    if how in ("number", "float"):
+        spots = [(n, k) for n, k in spots if type(n[k]) in (int, float)] or spots
+    if how == "add" or not spots:
+        node = data.draw(st.sampled_from([x, *(n[k] for n, k in spots if isinstance(n[k], dict))]))
+        key = data.draw(st.sampled_from([*keys, "bogus"]))
+    else:
+        node, key = data.draw(st.sampled_from(spots))
+    if how == "delete" and isinstance(node, dict):
+        del node[key]
+    elif how == "float" and type(node[key]) is int:
+        node[key] = float(node[key])
+    else:
+        pool = _ODD_NUMBERS if how == "number" else _ODD_VALUES
+        node[key] = copy.deepcopy(data.draw(st.sampled_from(pool)))
+    return x
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(list(_OP_PARAMS)).flatmap(valid_configs), st.data())
+def test_config_validator_agrees_with_reference(cfg, data):
+    assert agrees_with_reference(CONFIG_SCHEMA, cfg) is None
+    keys = ["operation", "seed", "system", "observable", "parameters", "jobs", "out",
+            "kind", "d", *_PARAMS]
+    if data.draw(st.integers(0, 3)) == 0:
+        cfg["parameters"]["grid"] = copy.deepcopy(data.draw(st.sampled_from(_GRIDS)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        cfg = mutate(data, cfg, keys)
+    expected = agrees_with_reference(CONFIG_SCHEMA, cfg)
+    if expected is None:
+        cli.validate_config(cfg)
+    else:
+        with pytest.raises(errors.ConfigInvalid) as e:
+            cli.validate_config(cfg)
+        assert (e.value.field, e.value.message) == (expected[0][2:] or "config", expected[1])
+
+
+@pytest.mark.parametrize("params, field", [
+    ({"N": True}, "parameters.N"),          # a bool is no integer
+    ({"N": 5.0}, None),                     # an integral float is one
+    ({"N": 5.5}, "parameters.N"),
+    ({"quorum": False}, "parameters.quorum"),
+    ({"N": 0, "bogus": 1}, "parameters"),   # the object's own path sorts first
+    ({"thresholds": []}, "parameters.thresholds"),
+    ({"grid": "linear"}, "parameters.grid"),
+    ({"grid": [1, 0]}, "parameters.grid"),  # oneOf names the grid, not its item
+    ({"grid": [4.0]}, None),
+])
+def test_config_validator_edges(params, field):
+    cfg = {"operation": "sojourn", "seed": 1, "parameters": params}
+    expected = agrees_with_reference(CONFIG_SCHEMA, cfg)
+    assert (expected and expected[0][2:]) == field
+
+
+@pytest.fixture(scope="module")
+def accept_report():
+    report = acc.report_dict(acc.run_all([2, 5, 6, 16]))
+    report["fingerprint"] = "0123456789ab"
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_report_validator_agrees_with_reference(accept_report, data):
+    schema = cli._load_schema("accept_report.schema.json")
+    report = copy.deepcopy(accept_report)
+    assert agrees_with_reference(schema, report) is None
+    keys = ["criteria", "passed", "failed", "fingerprint", "id", "name", "measured",
+            "gate", "seconds"]
+    for _ in range(data.draw(st.integers(1, 2))):
+        rows = report.get("criteria")
+        rows = [r for r in rows if isinstance(r, dict)] if isinstance(rows, list) else []
+        mutate(data, data.draw(st.sampled_from([report, *rows])), keys)
+    agrees_with_reference(schema, report)
+
+
+@pytest.mark.parametrize("sub", [
+    {"type": "string", "pattern": "^a"},
+    {"type": "array", "items": {"type": "integer", "multipleOf": 2}},
+    {"type": "object", "additionalProperties": {"type": "string"}},
+    {"type": ["string", "null"]},
+    {"oneOf": [{"const": 1}, {"format": "date"}]},
+])
+def test_schema_with_an_unchecked_keyword_is_refused(tmp_path, monkeypatch, sub):
+    schema = copy.deepcopy(CONFIG_SCHEMA)
+    schema["properties"]["parameters"]["properties"]["extra"] = sub
+    (tmp_path / "schemas").mkdir()
+    (tmp_path / "schemas" / "edited.schema.json").write_text(json.dumps(schema))
+    monkeypatch.setattr(cli, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(ValueError, match="does not check"):
+        cli._load_schema("edited.schema.json")

@@ -1,6 +1,7 @@
 """Partial-sum engine: additivity, reverse sums, checkpoints."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,18 @@ def test_norm_step_bound():
     step_norm = np.linalg.norm(tr_x.values[1])
     gap = np.abs(tr_x.norms[2:] - tr_tx.norms[1:])
     assert np.max(gap) <= step_norm + 1e-12
+
+
+def test_norms_of_huge_rows_stay_finite():
+    # squares of rows near 1e200 overflow; the norm itself does not
+    from cocyclelab.cones import _true_norm
+    tr = rademacher_trace(5, 10)
+    tr.values = tr.values * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = tr.norms
+    assert np.isfinite(norms).all() and norms[1:].min() > 1e199
+    assert np.array_equal(norms, np.stack([_true_norm(row) for row in tr.values]))
 
 
 def test_coboundary_sums_stay_bounded():

@@ -17,6 +17,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -574,12 +575,31 @@ def build_parser() -> argparse.ArgumentParser:
 _LIST_PARAMS = {"thresholds": float, "criteria": int, "grid": int}
 
 
+def _finite(field: str, v):
+    # NaN passes every schema bound (each comparison with it is false), and
+    # json and argparse's float read NaN and infinities: refuse them on entry
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigInvalid(field, f"{v!r} is not a finite number")
+    return v
+
+
+def _json_number(text: str) -> float:
+    return _finite("config", float(text))
+
+
+def _object(field: str, v) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigInvalid(field, f"{v!r} is not of type 'object'")
+    return v
+
+
 def _assemble(args: argparse.Namespace) -> dict:
     cfg = {}
     if args.config:
         try:
             with open(args.config) as f:
-                cfg = json.load(f)
+                cfg = _object("config", json.load(f, parse_float=_json_number,
+                                                  parse_constant=_json_number))
         except OSError as e:
             raise ConfigInvalid("config", str(e)) from None
         except json.JSONDecodeError as e:
@@ -589,14 +609,21 @@ def _assemble(args: argparse.Namespace) -> dict:
         cfg["system"] = _system_from_string(args.system)
     if getattr(args, "obs", None):
         cfg["observable"] = args.obs
-    params = dict(cfg.get("parameters") or {})
+    params = dict(_object("parameters", cfg.get("parameters", {})))
     for flag in _load_schema("config.schema.json")["properties"]["parameters"]["properties"]:
         v = getattr(args, flag, None)
         if v is None:
             continue
+        field = f"parameters.{flag}"
         if flag in _LIST_PARAMS and isinstance(v, str) and v != "dyadic":
-            v = [_LIST_PARAMS[flag](x) for x in v.split(",")]
-        params[flag] = v
+            try:
+                v = [_LIST_PARAMS[flag](x) for x in v.split(",")]
+            except ValueError:
+                raise ConfigInvalid(field, f"{v!r} is not a comma-separated list "
+                                           f"of {_LIST_PARAMS[flag].__name__}s") from None
+            for x in v:
+                _finite(field, x)
+        params[flag] = _finite(field, v)
     if params:
         cfg["parameters"] = params
     if args.seed is not None:

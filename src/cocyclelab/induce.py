@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _accumulate
+from .engine import _accumulate, _exact
 from .errors import CapExceeded, ConfigInvalid
 from .observables import ObservableSpec
 from .systems import (OrbitData, SystemSpec, SystemState, detached, orbit_span,
@@ -144,7 +144,8 @@ def _scan_returns(system, B, state, n_returns, cap, obs=None):
         mask = B.contains(data, a, b)
         if obs is not None:
             phi = obs.evaluate(data, a - 1, b - 1)        # rows k = a-1 .. b-1
-            sums, carry = _accumulate(phi, carry)
+            sums = np.empty_like(phi)
+            carry = _accumulate(phi, carry, sums, _exact(obs, b))
         hits = np.flatnonzero(mask)
         if len(hits):
             js = a + hits

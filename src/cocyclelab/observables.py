@@ -14,10 +14,26 @@ parsed through ``ast`` (see the README for the BNF):
 
 Scalar subexpressions broadcast against vector ones; dimensions are
 checked at parse time.
+
+Each node declares ``lattice``: ``(m, K)`` when every value it takes is
+k * 2^-m for an integer |k| <= K, so it lies on 2^-m Z with
+|value| <= B = K * 2^-m; else None. Both are Python ints, so bounds add
+without rounding. These nodes have one: the Rademacher ``iid`` (0, 1),
+``indicator`` (0, 1), finite constants (every float is p / 2^m),
+vectors, sums, differences and negations of lattice nodes, products of
+a lattice node with an integer constant c (bound K * max(|c|, 1)), and
+``cobdrift`` of a lattice ``h`` and constant ``c`` (bound
+2 K_h + max |c| * 2^m). Everything else, such as ``frac``, ``y``,
+``sin2pi``, ``pow``, ``floor``, division and the Gaussian and Cauchy
+laws, declares None. A node's bound covers its lattice children's and
+its own arithmetic, so when K <= 2^53 at the root every value in the
+tree is computed exactly; the engine then sums in float64 (see
+``engine``).
 """
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +43,11 @@ from .systems import LAWS, OrbitData, SystemSpec
 
 
 class Node:
-    """Expression-tree node; subclasses define dim, lookahead, needs."""
+    """Expression-tree node; subclasses define dim, lookahead, lattice, needs."""
 
     dim: int = 1
     lookahead: int = 0
+    lattice: tuple | None = None    # (m, K): values k * 2^-m with |k| <= K
 
     def needs(self) -> set:
         return set()
@@ -43,9 +60,30 @@ def _pos(data: OrbitData, lo, hi, coord: int) -> np.ndarray:
     return data.positions[data.rows(lo, hi), coord]
 
 
+def _dyadic(value: float) -> tuple | None:
+    # a finite float is p / 2^m in lowest terms: on 2^-m Z with bound |p|
+    if not math.isfinite(value):
+        return None
+    p, q = value.as_integer_ratio()
+    return q.bit_length() - 1, abs(p)
+
+
+def _join(*lattices, add: bool = False) -> tuple | None:
+    # the finest lattice of several, with the largest of their bounds on it
+    # (their sum, with add); None if any is None
+    if None in lattices:
+        return None
+    m = max(mi for mi, _ in lattices)
+    bounds = [k << (m - mi) for mi, k in lattices]
+    return m, sum(bounds) if add else max(bounds)
+
+
 @dataclass(eq=False)
 class Const(Node):
     value: float
+
+    def __post_init__(self):
+        self.lattice = _dyadic(self.value)
 
     def eval(self, data, lo, hi):
         return np.full((hi - lo + 1, 1), self.value)
@@ -66,6 +104,7 @@ class Coord(Node):
 class Indicator(Node):
     a: float
     b: float
+    lattice = (0, 1)
 
     def needs(self):
         return {("position", 1)}
@@ -82,6 +121,7 @@ class Iid(Node):
 
     def __post_init__(self):
         self.dim = self.d
+        self.lattice = (0, 1) if self.law == "rademacher" else None
 
     def needs(self):
         return {("increments", self.law, self.d)}
@@ -98,6 +138,8 @@ class Unary(Node):
     def __post_init__(self):
         self.dim = self.child.dim
         self.lookahead = self.child.lookahead
+        if self.fn == "neg":
+            self.lattice = self.child.lattice
 
     def needs(self):
         return self.child.needs()
@@ -141,6 +183,18 @@ class BinOp(Node):
             raise ConfigInvalid("observable", f"dimension mismatch {dl} vs {dr}")
         self.dim = max(dl, dr)
         self.lookahead = max(self.left.lookahead, self.right.lookahead)
+        self.lattice = self._lattice()
+
+    def _lattice(self) -> tuple | None:
+        if self.op in ("add", "sub"):
+            return _join(self.left.lattice, self.right.lattice, add=True)
+        if self.op == "mul":
+            # a lattice node times an integer constant stays on the node's lattice
+            for node, const in ((self.left, self.right), (self.right, self.left)):
+                if node.lattice and isinstance(const, Const) and const.value.is_integer():
+                    m, k = node.lattice
+                    return m, k * max(abs(int(const.value)), 1)
+        return None
 
     def needs(self):
         return self.left.needs() | self.right.needs()
@@ -166,6 +220,7 @@ class Vector(Node):
             raise ConfigInvalid("observable", "vector components must be scalar")
         self.dim = len(self.children)
         self.lookahead = max(c.lookahead for c in self.children)
+        self.lattice = _join(*(c.lattice for c in self.children))
 
     def needs(self):
         out = set()
@@ -192,6 +247,8 @@ class Cobdrift(Node):
                 "observable", f"cobdrift h has dim {self.h.dim}, c has dim {len(c)}")
         self.dim = self.h.dim
         self.lookahead = self.h.lookahead + 1
+        self.lattice = _join(self.h.lattice, self.h.lattice, _join(*map(_dyadic, c)),
+                             add=True)
 
     def needs(self):
         return self.h.needs()

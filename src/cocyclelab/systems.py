@@ -138,13 +138,20 @@ class IncrementCache:
         if self.law == _WORDS:
             return rng.bit_generator.random_raw(count * d).reshape(count, d)
         if self.law == "rademacher":
-            flat = np.where(rng.random(count * d) < 0.5, -1.0, 1.0)
+            # -1 below 0.5, else +1: r - 0.5 is exact and carries the sign
+            flat = rng.random(count * d)
+            flat -= 0.5
+            np.copysign(1.0, flat, out=flat)
         elif self.law == "gaussian":
             flat = rng.standard_normal(count * d)
         else:
             # cauchy: isotropic, gaussian vector over an independent |gaussian|
             block = rng.standard_normal(count * (d + 1)).reshape(count, d + 1)
-            return block[:, :d] / np.abs(block[:, d])[:, None]
+            scale = np.abs(block[:, d], out=block[:, d])
+            out = np.empty((count, d))
+            for j in range(d):
+                np.divide(block[:, j], scale, out=out[:, j])
+            return out
         return flat.reshape(count, d)
 
     def _span(self, stream: int, a: int, b: int) -> np.ndarray:

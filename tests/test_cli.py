@@ -139,6 +139,49 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys):
     assert cli.main(["trace", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("body, error", [
+    ("[1]", "config: [1] is not of type 'object'"),
+    ('"N"', "config: 'N' is not of type 'object'"),
+    ('{"parameters": [1]}', "parameters: [1] is not of type 'object'"),
+    ('{"parameters": null}', "parameters: None is not of type 'object'"),
+    ('{"parameters": {"M": NaN}}', "config: nan is not a finite number"),
+    ('{"parameters": {"M": -Infinity}}', "config: -inf is not a finite number"),
+    ('{"parameters": {"M": 1e999}}', "config: inf is not a finite number"),
+])
+def test_config_file_of_another_shape_is_a_config_error(tmp_path, capsys, body, error):
+    # the file must hold an object of finite numbers, also where flags merge in
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(body)
+    out = tmp_path / "o"
+    assert cli.main(["sojourn", "--config", str(cfg), "--N", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
+
+
+_WALK = ["--system", "iid-shift:gaussian:2", "--obs", "iid(gaussian,d=2)", "--N", "100"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["sojourn", *_WALK, "--cone", "halfspace:0,1", "--M", "nan"],
+     "parameters.M: nan is not a finite number"),
+    (["brownian", "--cone", "halfspace:0,1", "--h", "nan"],
+     "parameters.h: nan is not a finite number"),
+    (["brownian", "--cone", "halfspace:0,1", "--t", "inf"],
+     "parameters.t: inf is not a finite number"),
+    (["directions", *_WALK, "--quorum=-inf"],
+     "parameters.quorum: -inf is not a finite number"),
+    (["directions", *_WALK, "--thresholds", "1,nan"],
+     "parameters.thresholds: nan is not a finite number"),
+    (["sojourn", *_WALK, "--cone", "halfspace:0,1", "--grid", "1,x"],
+     "parameters.grid: '1,x' is not a comma-separated list of ints"),
+], ids=["M", "h", "t", "quorum", "thresholds", "grid"])
+def test_flags_must_be_finite_numbers(tmp_path, capsys, argv, error):
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--jobs", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
+
+
 def test_schema_rejects_unknown_fields(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "system": {"kind": "doubling"},

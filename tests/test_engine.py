@@ -341,3 +341,125 @@ def test_sums_evaluate_each_orbit_row_once(monkeypatch, kind):
         assert tr.N == N
         assert len(rows) == blocks and sum(rows) <= N + 2 * blocks
     assert len(sums) == (1 if kind == "doubling" else 2)
+
+
+# Lattice observables: every value on 2^-m Z, at most B in size. Within the
+# bound n * B * 2^m <= 2^53 the engine sums them in float64, which is exact;
+# the longdouble loops above are the reference for their bytes. The last two
+# cases stay on the longdouble route: 0.3 is dyadic only with m = 54, and
+# 2^52 is one step short of the bound at n = 3.
+_ROT = cl.rotation("golden", seed=5)
+_DBL = cl.doubling(seed=5)
+_LATTICE = {
+    "rademacher-d1": (cl.iid_shift("rademacher", d=1, seed=6), "iid(rademacher, d=1)"),
+    "rademacher-d2": (cl.iid_shift("rademacher", d=2, seed=6), "iid(rademacher, d=2)"),
+    "rademacher-d3": (cl.iid_shift("rademacher", d=3, seed=6), "iid(rademacher, d=3)"),
+    "rotation-half": (_ROT, "indicator(0.0,0.5)-0.5"),
+    "doubling-half": (_DBL, "indicator(0.0,0.5)-0.5"),
+    "negative-zero": (_ROT, "-indicator(0.0,0.5)"),
+    "vector": (_ROT, "[indicator(0.0,0.5)-0.5, 2*indicator(0.25,0.75)-1]"),
+    "cobdrift": (_ROT, "cobdrift(h=indicator(0.0,0.5),c=[0.25])"),
+}
+_LONGDOUBLE = {
+    "not-dyadic": (_ROT, "indicator(0.0,0.3)-0.3"),
+    "past-the-bound": (_ROT, "indicator(0.0,0.5)*4503599627370496"),
+}
+
+
+def _induce_set(system, N):
+    # a set and a number of returns whose scan reads about N steps
+    if system.kind == "iid-shift":
+        return cl.cylinder_positive(0), N // 2
+    return cl.interval(0.0, 1.0), N
+
+
+@pytest.mark.parametrize("name", [*_LATTICE, *_LONGDOUBLE])
+def test_lattice_sums_match_the_longdouble_loops(name):
+    system, text = {**_LATTICE, **_LONGDOUBLE}[name]
+    obs = cl.parse_observable(text)
+    N, every = 3 * eng.BLOCK + 5, 4096
+    assert eng._exact(obs, N) == (name in _LATTICE)
+    if name == "past-the-bound":
+        assert eng._exact(obs, 2) and not eng._exact(obs, 3)
+    state0 = cl.sample_initial(system, 3)
+    runs = [(cl.ergodic_sums, separate_forward_loop)]
+    if system.invertible:
+        runs.append((cl.reverse_sums, separate_reverse_loop))
+    for sums, loop in runs:
+        tr = sums(system, obs, state0, N, checkpoint_every=every)
+        values, checkpoints = loop(system, obs, state0, N, every)
+        assert tr.values.tobytes() == values.tobytes()
+        assert list(tr.checkpoints) == list(checkpoints)
+        assert all(same_state(tr.checkpoints[k], checkpoints[k]) for k in checkpoints)
+    if name == "negative-zero":          # phi is -0.0 off [0, 0.5), the sums +0.0
+        zero = cl.evaluate_at(system, obs, rot_state(0.75))
+        assert zero[0] == 0.0 and np.signbit(zero[0])
+    # induced values are the same sums read at the return times
+    B, n_returns = _induce_set(system, N)
+    start = cl.first_entry(system, B, state0, 1000)
+    it = cl.induced_trace(system, obs, B, start, n_returns, 1000)
+    values, _ = separate_forward_loop(system, obs, start, int(it.return_times[-1]), None)
+    assert it.return_times[-1] > 2 * eng.BLOCK
+    assert it.values[1:].tobytes() == values[it.return_times].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_LATTICE))
+def test_lattice_identity_residual_is_exactly_zero(name):
+    system, text = _LATTICE[name]
+    obs = cl.parse_observable(text)
+    tr = cl.ergodic_sums(system, obs, cl.sample_initial(system, 4), 3 * eng.BLOCK + 5,
+                         checkpoint_every=4096)
+    for n, p in ((4096, eng.BLOCK), (15 * 4096, 4096), (16 * 4096, 2 * eng.BLOCK + 5),
+                 (17 * 4096, eng.BLOCK + 1)):
+        assert cl.cocycle_identity_check(tr, n, p) == 0.0
+
+
+def _count_routes(monkeypatch):
+    # the exact flag of every block the engine accumulates, from sweeps and scans
+    real, flags = eng._accumulate, []
+
+    def counted(phi, carry, out, exact):
+        flags.append(exact)
+        return real(phi, carry, out, exact)
+
+    assert cl.induce._accumulate is real
+    monkeypatch.setattr(eng, "_accumulate", counted)
+    monkeypatch.setattr(cl.induce, "_accumulate", counted)
+    return flags
+
+
+@pytest.mark.parametrize("system, text, wide", [
+    *((system, text, 0) for system, text in _LATTICE.values()),
+    *((system, text, 4) for system, text in _LONGDOUBLE.values()),
+    (_ROT, "frac-0.5", 4),
+    (_ROT, "indicator(0.0,0.5)/2", 4),
+    (cl.iid_shift("gaussian", d=2), "iid(gaussian, d=2)", 4),
+], ids=[*_LATTICE, *_LONGDOUBLE, "frac", "division", "gaussian"])
+def test_lattice_blocks_skip_the_longdouble_route(monkeypatch, system, text, wide):
+    # N spans four blocks: a lattice observable within the bound runs none of
+    # them in longdouble, any other observable all four, both ways
+    flags = _count_routes(monkeypatch)
+    obs = cl.parse_observable(text)
+    state0 = cl.sample_initial(system, 2)
+    sums = [cl.ergodic_sums] + ([cl.reverse_sums] if system.invertible else [])
+    for fn in sums:
+        flags.clear()
+        fn(system, obs, state0, 3 * eng.BLOCK + 5, checkpoint_every=None)
+        assert len(flags) == 4 and flags.count(False) == wide
+
+
+def test_sums_leave_the_float64_route_where_the_bound_fails(monkeypatch):
+    # values 0 or 2^36: sums over 2^17 steps reach 2^53 exactly and no
+    # further, so a sweep's third block and the scan block past 2^17 steps
+    # (induce has its own block length) take the longdouble route
+    flags = _count_routes(monkeypatch)
+    obs = cl.parse_observable("indicator(0.0,0.5)*68719476736")
+    state0 = cl.sample_initial(_ROT, 1)
+    cl.ergodic_sums(_ROT, obs, state0, 4 * eng.BLOCK, checkpoint_every=None)
+    assert flags == [True, True, False, False]
+    flags.clear()
+    it = cl.induced_trace(_ROT, obs, cl.interval(0.0, 1.0), state0, 4 * eng.BLOCK, 10)
+    exact = (1 << 17) // cl.induce.BLOCK
+    assert flags == [True] * exact + [False] * exact
+    values, _ = separate_forward_loop(_ROT, obs, state0, 4 * eng.BLOCK, None)
+    assert it.values.tobytes() == values.tobytes()

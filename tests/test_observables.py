@@ -40,6 +40,42 @@ def test_dimensions_and_lookahead():
     assert cl.parse_observable("cobdrift(h=frac,c=[0])").lookahead == 1
 
 
+@pytest.mark.parametrize("text, lattice", [
+    ("indicator(0.0,0.5)", (0, 1)),
+    ("indicator(0.0,0.5)-0.5", (1, 3)),
+    ("-indicator(0.0,0.5)", (0, 1)),
+    ("2*indicator(0.25,0.75)-1", (0, 3)),
+    ("3*indicator(0.0,0.5)", (0, 3)),
+    ("indicator(0.0,0.5)*0", (0, 1)),
+    ("[indicator(0.0,0.5)-0.5, 2*indicator(0.25,0.75)-1]", (1, 6)),
+    ("cobdrift(h=indicator(0.0,0.5),c=[0.25])", (2, 9)),
+    ("0.3", (54, 5404319552844595)),
+    ("1e999", None),
+    ("indicator(0.0,0.5)*0.5", None),
+    ("indicator(0.0,0.5)/2", None),
+    ("pow(indicator(0.0,0.5),2)", None),
+    ("floor(frac)", None),
+    ("sin2pi(frac)", None),
+    ("[indicator(0.0,0.5), frac]", None),
+    ("cobdrift(h=frac,c=[0.25])", None),
+])
+def test_declared_lattices(text, lattice):
+    # (m, K): every value is k * 2^-m with an integer |k| <= K; checked on an orbit
+    obs = cl.parse_observable(text)
+    assert obs.root.lattice == lattice
+    if lattice is not None:
+        m, bound = lattice
+        data = cl.orbit_span(cl.rotation("golden"), rot_state(0.1), 0, 2000)
+        k = np.ldexp(obs.evaluate(data, 0, 1999), m)
+        assert np.array_equal(k, np.round(k)) and np.abs(k).max() <= bound
+
+
+@pytest.mark.parametrize("law, lattice", [("rademacher", (0, 1)), ("gaussian", None),
+                                          ("cauchy", None)])
+def test_iid_lattices(law, lattice):
+    assert cl.iid_increment(law, 2).root.lattice == lattice
+
+
 @pytest.mark.parametrize("text", [
     "indicator(0.5)",          # wrong arity
     "bogus(frac)",             # unknown function

@@ -137,7 +137,7 @@ def test_step_formulas(x):
 
 # The cache before it appended: every growth drew its stream again from the
 # start, and reads gathered rows by index. Kept verbatim as the reference
-# for the realized increments.
+# for the realized increments, with the draw expressions of that time.
 
 class RedrawingIncrementCache:
     def __init__(self, key: tuple, law: str, d: int):
@@ -227,6 +227,29 @@ def test_increment_cache_draws_each_row_once(monkeypatch):
     fwd, bwd = np.concatenate(drawn[0]), np.concatenate(drawn[1])
     assert cache.get(0, len(fwd) - 1).tobytes() == fwd.tobytes()
     assert cache.get(-len(bwd), -1)[::-1].tobytes() == bwd.tobytes()
+
+
+# draw counts around the edges of the cache's appends (1024 rows) and of the
+# engine's blocks (2^16 rows), and arbitrary ones
+_COUNTS = st.lists(st.sampled_from([1, 2, 1023, 1024, 1025, 65535, 65536, 65537])
+                   | st.integers(1, 3000), min_size=1, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(cl.systems.LAWS), st.integers(1, 3), st.integers(0, 2**32),
+       st.integers(0, 1), _COUNTS)
+def test_draws_equal_the_expressions_before(law, d, seed, stream, counts):
+    # the in-place Rademacher sign and the column-wise Cauchy quotient give
+    # the bytes of the np.where and broadcast expressions of the reference
+    # cache, and draws in chunks give the bytes of one draw of their total
+    cache = cl.systems.IncrementCache((seed, 1), law, d)
+    chunks = [cache._draw(stream, count) for count in counts]
+    assert [c.shape for c in chunks] == [(count, d) for count in counts]
+    total = sum(counts)
+    once = cl.systems.IncrementCache((seed, 1), law, d)._draw(stream, total)
+    ref = RedrawingIncrementCache((seed, 1), law, d)._draw(stream, total)
+    assert once.dtype == ref.dtype == np.float64
+    assert np.concatenate(chunks).tobytes() == once.tobytes() == ref.tobytes()
 
 
 # a sweep's reads: from a start anywhere in either stream, blocks of any

@@ -355,7 +355,7 @@ def _dir_task(payload: dict):
     h = dr.hist_from_trace(tr, mesh, payload["thresholds"])
     verdict = (dr.recurrence_diagnostic(tr, payload["epsilon"]).verdict
                if tr.N >= 1024 else "inconclusive")
-    return h.counts, verdict
+    return h, verdict
 
 
 def _cell_angles(mesh) -> np.ndarray:
@@ -388,10 +388,8 @@ def _op_directions(cfg: dict, fp: str) -> int:
     results = _map_tasks(_dir_task, payloads, cfg["jobs"])
 
     hist = dr.DirectionHistogram.empty(mesh, thresholds)
-    for counts, _ in results:
-        part = dr.DirectionHistogram(mesh, hist.thresholds, counts,
-                                     (counts > 0).astype(np.int64), 1, N)
-        hist = hist.merge(part)
+    for h, _ in results:
+        hist = hist.merge(h)
     est = dr.direction_set_estimate(hist, quorum)
 
     angles = _cell_angles(mesh)
@@ -402,8 +400,8 @@ def _op_directions(cfg: dict, fp: str) -> int:
     T = len(thresholds)
     grid = [np.repeat(np.asarray(thresholds), mesh.K), np.tile(np.arange(mesh.K), T),
             *np.tile(angles, (T, 1)).T]
-    n_rows = _write_csv(csv_path, header, [[s, fp, *grid, counts.ravel()]
-                                           for s, (counts, _) in zip(seeds, results)])
+    n_rows = _write_csv(csv_path, header, [[s, fp, *grid, h.counts.ravel()]
+                                           for s, (h, _) in zip(seeds, results)])
     verdicts = [v for _, v in results]
     _write_summary(sum_path, _base_summary(
         cfg, fp, rows=n_rows, mesh={"d": mesh.d, "K": mesh.K},

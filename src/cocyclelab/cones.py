@@ -380,6 +380,8 @@ def parse_cone(text: str, d: int | None = None) -> Cone:
     cone = None
     try:
         nums = [float(v) for v in rest.split(",")] if rest else []
+        if not np.all(np.isfinite(nums)):
+            raise ConfigInvalid("cone", f"cone {text!r} has a number that is not finite")
         if kind == "halfspace":
             cone = HalfSpace(nums)
         elif kind == "orthant":

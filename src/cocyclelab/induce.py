@@ -15,8 +15,8 @@ import numpy as np
 from .engine import _accumulate, _exact
 from .errors import CapExceeded, ConfigInvalid
 from .observables import ObservableSpec
-from .systems import (OrbitData, SystemSpec, SystemState, detached, orbit_span,
-                      sample_initial, state_at)
+from .systems import (OrbitData, SystemSpec, SystemState, increment_cache,
+                      orbit_span, sample_initial, state_at)
 
 BLOCK = 8192
 
@@ -127,10 +127,9 @@ def _scan_returns(system, B, state, n_returns, cap, obs=None):
     """Stream the orbit, yielding return indices (and sums at them).
 
     obs: None, or the observable whose partial sums are also recorded
-    at the returns. Returns (return_times, values or None). The scan
-    reads through its own cache, so the caller's state gains no rows.
+    at the returns. Returns (return_times, values or None).
     """
-    state = detached(state)
+    cache = increment_cache(system, state)
     rt = np.empty(n_returns, dtype=np.int64)
     vals = np.zeros((n_returns + 1, obs.d)) if obs is not None else None
     carry = np.zeros(obs.d, dtype=np.longdouble) if obs is not None else None
@@ -140,7 +139,7 @@ def _scan_returns(system, B, state, n_returns, cap, obs=None):
     while found < n_returns:
         b = a + BLOCK - 1
         ext = max(1, obs.lookahead) if obs is not None else 0
-        data = orbit_span(system, state, a - 1 if obs is not None else a, b + ext)
+        data = orbit_span(system, state, a - 1 if obs is not None else a, b + ext, cache)
         mask = B.contains(data, a, b)
         if obs is not None:
             phi = obs.evaluate(data, a - 1, b - 1)        # rows k = a-1 .. b-1
@@ -189,7 +188,7 @@ def induced_trace(system: SystemSpec, obs: ObservableSpec, B: SetSpec,
     """Induced cocycle over the first-return map on B, starting from x0 in B."""
     obs.validate_for(system)
     B.validate_for(system)
-    data = orbit_span(system, detached(state0), 0, 0)
+    data = orbit_span(system, state0, 0, 0)
     if not bool(B.contains(data, 0, 0)[0]):
         raise ValueError("induced_trace requires a base point inside B")
     rt, vals = _scan_returns(system, B, state0, n_returns, cap, obs=obs)

@@ -21,7 +21,8 @@ k * 2^-m for an integer |k| <= K, so it lies on 2^-m Z with
 without rounding. These nodes have one: the Rademacher ``iid`` (0, 1),
 ``indicator`` (0, 1), finite constants (every float is p / 2^m),
 vectors, sums, differences and negations of lattice nodes, products of
-a lattice node with an integer constant c (bound K * max(|c|, 1)), and
+a lattice node with an integer constant c (bound K * max(|c|, 1); a
+negated literal such as ``-3`` is one constant), and
 ``cobdrift`` of a lattice ``h`` and constant ``c`` (bound
 2 K_h + max |c| * 2^m). Everything else, such as ``frac``, ``y``,
 ``sin2pi``, ``pow``, ``floor``, division and the Gaussian and Cauchy
@@ -262,6 +263,13 @@ class Cobdrift(Node):
 _FUNCS1 = {"floor", "sin2pi", "cos2pi"}
 
 
+def _finite(value) -> float:
+    # a numeric literal as a float, refused unless it is a finite float64
+    if not abs(value) <= np.finfo(np.float64).max.item():
+        raise ConfigInvalid("observable", f"literal {value!r} is not a finite number")
+    return float(value)
+
+
 class _Builder(ast.NodeVisitor):
     """Restricted ast -> Node translation; everything else is ConfigInvalid."""
 
@@ -270,7 +278,7 @@ class _Builder(ast.NodeVisitor):
             return self.build(node.body)
         if isinstance(node, ast.Constant):
             if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-                return Const(float(node.value))
+                return Const(_finite(node.value))
             raise ConfigInvalid("observable", f"bad literal {node.value!r}")
         if isinstance(node, ast.Name):
             if node.id == "frac":
@@ -280,7 +288,9 @@ class _Builder(ast.NodeVisitor):
             raise ConfigInvalid("observable", f"unknown name {node.id!r}")
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
-                return Unary("neg", self.build(node.operand))
+                # a negated literal is one constant, so it can be an integer factor
+                child = self.build(node.operand)
+                return Const(-child.value) if isinstance(child, Const) else Unary("neg", child)
             raise ConfigInvalid("observable", "only unary minus is supported")
         if isinstance(node, ast.BinOp):
             ops = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div"}
@@ -298,7 +308,7 @@ class _Builder(ast.NodeVisitor):
 
     def _number(self, node) -> float:
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
+            return _finite(node.value)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return -self._number(node.operand)
         raise ConfigInvalid("observable", "expected a numeric literal")
@@ -354,7 +364,6 @@ class ObservableSpec:
     root: Node
     d: int
     lookahead: int
-    centered: bool = False
 
     def evaluate(self, data: OrbitData, lo: int, hi: int) -> np.ndarray:
         """Values phi(T^k x) for k = lo..hi; data must span [lo, hi+lookahead]."""
@@ -382,24 +391,23 @@ class ObservableSpec:
                         f"({system.law}, d={system.d})")
 
 
-def parse_observable(text: str, centered: bool = False) -> ObservableSpec:
+def parse_observable(text: str) -> ObservableSpec:
     """Parse the observable mini-grammar into an ObservableSpec."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as e:
         raise ConfigInvalid("observable", f"parse error: {e.msg}") from None
     root = _Builder().build(tree)
-    return ObservableSpec(text, root, root.dim, root.lookahead, centered)
+    return ObservableSpec(text, root, root.dim, root.lookahead)
 
 
 def centered_indicator(a: float, b: float) -> ObservableSpec:
     """1_[a,b) minus its mean b-a; centered by construction."""
-    return parse_observable(f"indicator({a!r},{b!r})-{b - a!r}", centered=True)
+    return parse_observable(f"indicator({a!r},{b!r})-{b - a!r}")
 
 
 def iid_increment(law: str, d: int = 1) -> ObservableSpec:
-    centered = law in ("rademacher", "gaussian")
-    return parse_observable(f"iid({law},d={d})", centered=centered)
+    return parse_observable(f"iid({law},d={d})")
 
 
 def coboundary_of(psi: ObservableSpec, drift=None) -> ObservableSpec:
@@ -408,6 +416,4 @@ def coboundary_of(psi: ObservableSpec, drift=None) -> ObservableSpec:
         drift = np.zeros(psi.d)
     drift = np.atleast_1d(np.asarray(drift, dtype=np.float64))
     ctext = "[" + ",".join(repr(float(v)) for v in drift) + "]"
-    return parse_observable(
-        f"cobdrift(h={psi.text},c={ctext})",
-        centered=bool(np.all(drift == 0.0)))
+    return parse_observable(f"cobdrift(h={psi.text},c={ctext})")

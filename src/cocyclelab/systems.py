@@ -13,8 +13,8 @@ invertibility flag:
 - ``iid-shift``: two-sided shift over i.i.d. increments in R^d
   (rademacher | gaussian | cauchy). The realized increment sequence is
   reproducible in both directions from the trajectory key: each side is
-  one stream, drawn once, in order, and appended to as reads reach
-  further out.
+  one stream, drawn in order. States are plain values; a sweep reads
+  through one cache of its own (`increment_cache`).
 
 Doubling and cat-map orbits are exact in uint64 arithmetic on the
 lattice 2^-53 Z, so float coords are a state's whole position; a
@@ -25,7 +25,7 @@ no horizon here sees a lattice orbit repeat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,69 +107,72 @@ def iid_shift(law: str = "rademacher", d: int = 1, seed: int = 0) -> SystemSpec:
 
 
 class IncrementCache:
-    """Growable two-sided cache of realized i.i.d. increments.
+    """Two-sided cache of realized i.i.d. increments, for one reader.
 
     Increment at absolute index i >= 0 is draw i of the forward stream;
     index i < 0 is draw (-1-i) of the backward stream. Each stream is one
-    live generator seeded by the trajectory key: its rows are drawn once,
-    in order, and appended to the cache, so the realized sequence is a
-    pure function of (key, law, d) regardless of access order.
-    The law "words" is the doubling map's forward-only uint64 digit stream.
-    This cache keeps every row it has drawn; the cache of a sweep (see
-    `detached`) drops the rows behind its reads.
+    live generator seeded by the trajectory key and drawn in order, so the
+    realized sequence is a pure function of (key, law, d). The law "words"
+    is the doubling map's forward-only uint64 digit stream.
+    A read draws what it lacks (at least 1024 rows). Once reads move up a
+    stream, the rows below the latest read are dropped, so a sweep holds
+    about one read; a stream read downwards keeps its rows. A read below
+    the kept rows draws that stream again from its key.
     """
 
-    _forget = False
-
     def __init__(self, key: tuple, law: str, d: int):
-        self.key = key
-        self.law = law
-        self.d = d
-        streams, dtype = ((2,), np.uint64) if law == _WORDS else ((0, 1), np.float64)
-        self._rngs = [np.random.default_rng((*key, stream)) for stream in streams]
-        self._rows = [np.empty((0, d), dtype) for _ in streams]
-        self._base = [0 for _ in streams]       # draw number of each stream's first row
-        self._last = [None for _ in streams]    # first draw of each stream's latest read
+        self.key, self.law, self.d = key, law, d
+        self._dtype = np.uint64 if law == _WORDS else np.float64
+        self._seeds = [(*key, 2)] if law == _WORDS else [(*key, 0), (*key, 1)]
+        self._rngs = [np.random.default_rng(seed) for seed in self._seeds]
+        self._rows = [np.empty((0, d), self._dtype) for _ in self._seeds]
+        self._base = [0 for _ in self._seeds]       # draw number of each stream's first kept row
+        self._last = [None for _ in self._seeds]    # first draw of each stream's latest read
 
-    def _draw(self, stream: int, count: int) -> np.ndarray:
-        # the next `count` rows of a stream; chunked draws equal one-shot draws
+    def _draw(self, stream: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        # the next `count` rows of a stream, into `out` if given; chunked
+        # draws equal one-shot draws
         rng = self._rngs[stream]
         d = self.d
+        if out is None:
+            out = np.empty((count, d), self._dtype)
+        flat = out.reshape(count * d)
         if self.law == _WORDS:
-            return rng.bit_generator.random_raw(count * d).reshape(count, d)
-        if self.law == "rademacher":
+            flat[:] = rng.bit_generator.random_raw(count * d)
+        elif self.law == "rademacher":
             # -1 below 0.5, else +1: r - 0.5 is exact and carries the sign
-            flat = rng.random(count * d)
+            rng.random(out=flat)
             flat -= 0.5
             np.copysign(1.0, flat, out=flat)
         elif self.law == "gaussian":
-            flat = rng.standard_normal(count * d)
+            rng.standard_normal(out=flat)
         else:
             # cauchy: isotropic, gaussian vector over an independent |gaussian|
             block = rng.standard_normal(count * (d + 1)).reshape(count, d + 1)
             scale = np.abs(block[:, d], out=block[:, d])
-            out = np.empty((count, d))
             for j in range(d):
                 np.divide(block[:, j], scale, out=out[:, j])
-            return out
-        return flat.reshape(count, d)
+        return out
 
     def _span(self, stream: int, a: int, b: int) -> np.ndarray:
-        # draws a .. b-1 of a stream, as a view of the cached rows. A keeping
-        # cache grows geometrically, so its appends stay logarithmic in the
-        # length read. A forgetting one draws what the read lacks and, once
-        # reads move up the stream, drops the rows below a, so it holds about
-        # one read; a stream read downwards keeps its rows
+        # draws a .. b-1 of a stream, as a view of the kept rows; new rows are
+        # drawn straight into the array that keeps them, after the kept tail
+        if a < self._base[stream]:      # dropped rows: draw the stream again from its key
+            self._rngs[stream] = np.random.default_rng(self._seeds[stream])
+            self._rows[stream] = self._rows[stream][:0]
+            self._base[stream], self._last[stream] = 0, None
         rows, base, last = self._rows[stream], self._base[stream], self._last[stream]
-        if a < base:
-            raise ValueError("a sweep's cache has dropped the rows below its latest read")
-        keep = a if self._forget and last is not None and a >= last else base
+        keep = a if last is not None and a >= last else base
         self._last[stream] = a
         end = base + len(rows)
         if b > end:
-            count = max(b - end, 1024) if self._forget else max(b, 2 * end, 1024) - end
-            fresh = self._draw(stream, count)
-            rows = np.concatenate([rows[keep - base:], fresh[max(keep - end, 0):]])
+            top = end + max(b - end, 1024)
+            if keep > end:
+                self._draw(stream, keep - end)          # rows no read will see
+            tail = rows[keep - base:]
+            rows = np.empty((top - keep, self.d), self._dtype)
+            rows[:len(tail)] = tail
+            self._draw(stream, top - keep - len(tail), out=rows[len(tail):])
         else:
             rows = rows[keep - base:]
         self._rows[stream], self._base[stream] = rows, keep
@@ -186,11 +189,6 @@ class IncrementCache:
         return np.concatenate(parts)
 
 
-class _SweepCache(IncrementCache):
-    # the cache `detached` makes for a sweep, whose reads move on through a stream
-    _forget = True
-
-
 @dataclass(frozen=True)
 class SystemState:
     """A phase point plus the bookkeeping needed to regenerate its orbit.
@@ -199,15 +197,13 @@ class SystemState:
     invertible systems). ``coords`` is the current position for interval
     and torus systems; the shift has no visible position. ``origin`` is
     the index-0 point for the rotation. ``traj_key`` seeds per-trajectory
-    randomness (the doubling map's digit stream, shift increments), which
-    ``cache`` holds as far as it has been read.
+    randomness (the doubling map's digit stream, shift increments).
     """
 
     index: int
     coords: np.ndarray | None = None
     origin: float | None = None
     traj_key: tuple | None = None
-    cache: IncrementCache | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -232,25 +228,19 @@ def sample_initial(system: SystemSpec, seed: int) -> SystemState:
         x0 = rng.random()
         return SystemState(0, coords=np.array([x0]), origin=x0)
     if system.kind == "doubling":
-        return SystemState(0, coords=np.array([rng.random()]), traj_key=key,
-                           cache=IncrementCache(key, _WORDS, 1))
+        return SystemState(0, coords=np.array([rng.random()]), traj_key=key)
     if system.kind == "cat-map":
         return SystemState(0, coords=rng.random(2))
-    cache = IncrementCache(key, system.law, system.d)
-    return SystemState(0, traj_key=key, cache=cache)
+    return SystemState(0, traj_key=key)
 
 
-def detached(state: SystemState) -> SystemState:
-    """``state`` with a fresh cache under the same key: same draws, own rows.
-
-    The fresh cache is a sweep's: once its reads move up a stream, it keeps
-    only the rows from its latest read's lower index on, so a sweep holds
-    about one read's rows whatever its length. A stream read downwards (a
-    reverse sweep from a positive index, or a forward one from a negative
-    index) keeps every row it drew, as a caller's cache does.
-    """
-    c = state.cache
-    return state if c is None else replace(state, cache=_SweepCache(c.key, c.law, c.d))
+def increment_cache(system: SystemSpec, state: SystemState) -> IncrementCache | None:
+    """A fresh cache of the draws behind ``state``'s orbit; None if it has none."""
+    if system.kind == "doubling":
+        return IncrementCache(state.traj_key, _WORDS, 1)
+    if system.kind == "iid-shift":
+        return IncrementCache(state.traj_key, system.law, system.d)
+    return None
 
 
 def _lattice(coords: np.ndarray) -> np.ndarray:
@@ -264,12 +254,11 @@ def _windows(words: np.ndarray, s) -> np.ndarray:
     return ((words[:-1, None] << s) | (words[1:, None] >> (64 - s))).ravel()
 
 
-def _doubling_positions(state: SystemState, lo: int, hi: int) -> np.ndarray:
+def _doubling_positions(state: SystemState, lo: int, hi: int, cache) -> np.ndarray:
     # x = 0.b1 b2 ...: the state's lattice digits X, then the word stream from
     # bit `index` on. V is 11 zero bits then b1 b2 ..., in words: V[0] = X and
     # V[k] = stream word k-1. T^r x is the low 53 of V's 64 bits from bit r.
     i, a, b = state.index, lo // 64, hi // 64 + 1      # V words a..b are read
-    cache = state.cache or IncrementCache(state.traj_key, _WORDS, 1)
     V = _windows(cache.get(i // 64 + max(a - 1, 0), i // 64 + b)[:, 0], np.uint64(i % 64))
     if a == 0:
         V = np.concatenate([_lattice(state.coords), V])
@@ -295,14 +284,18 @@ def _cat_positions(state: SystemState, lo: int, hi: int) -> np.ndarray:
     return (xy.T & _MASK) * 2.0 ** -53
 
 
-def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int) -> OrbitData:
+def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int,
+               cache: IncrementCache | None = None) -> OrbitData:
     """Positions/increments for relative steps lo..hi (inclusive), vectorized.
 
+    Draws are read through ``cache`` (`increment_cache`), else a throwaway one.
     Raises NotInvertible when a negative relative step is requested on
     the doubling map.
     """
     if hi < lo:
         raise ValueError("empty span")
+    if cache is None:
+        cache = increment_cache(system, state)
     if system.kind == "rotation":
         idx = (state.index + np.arange(lo, hi + 1)).astype(np.float64)
         pos = np.mod(state.origin + system.alpha_value * idx, 1.0)
@@ -310,10 +303,10 @@ def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int) -> Orbi
     if system.kind == "doubling":
         if state.index + lo < 0 or lo < 0:
             raise NotInvertible("doubling map has no backward orbit")
-        return OrbitData(lo, hi, _doubling_positions(state, lo, hi)[:, None], None)
+        return OrbitData(lo, hi, _doubling_positions(state, lo, hi, cache)[:, None], None)
     if system.kind == "cat-map":
         return OrbitData(lo, hi, _cat_positions(state, lo, hi), None)
-    inc = state.cache.get(state.index + lo, state.index + hi)
+    inc = cache.get(state.index + lo, state.index + hi)
     return OrbitData(lo, hi, None, inc)
 
 

@@ -182,6 +182,20 @@ def test_flags_must_be_finite_numbers(tmp_path, capsys, argv, error):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["sojourn", *_WALK, "--cone", "halfspace:nan,1"],
+     "cone: cone 'halfspace:nan,1' has a number that is not finite"),
+    (["trace", "--system", "rotation:golden", "--obs", "1e999", "--N", "5"],
+     "observable: literal inf is not a finite number"),
+], ids=["cone", "observable"])
+def test_numbers_in_cone_and_observable_strings_must_be_finite(tmp_path, capsys, argv,
+                                                              error):
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--jobs", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
+
+
 def test_schema_rejects_unknown_fields(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "system": {"kind": "doubling"},

@@ -106,6 +106,15 @@ def test_parse_cone():
         assert err.value.field == "cone"
 
 
+@pytest.mark.parametrize("text", ["halfspace:nan,1", "halfspace:inf,1", "angular:nan,0,1",
+                                  "angular:1,0,-inf", "orthant:1,nan", "!halfspace:0,inf",
+                                  "full:inf"])
+def test_parse_cone_refuses_numbers_that_are_not_finite(text):
+    with pytest.raises(cl.ConfigInvalid) as err:
+        cl.parse_cone(text)
+    assert err.value.field == "cone"
+
+
 def test_angular_aperture_bounds():
     with pytest.raises(cl.ConfigInvalid):
         AngularCone([1.0, 0.0], 0.0)

@@ -157,17 +157,27 @@ def test_checkpoints_match_direct_states():
     (cl.iid_shift("rademacher", d=2, seed=8), cl.iid_increment("rademacher", 2)),
     (cl.doubling(seed=8), half_obs()),
 ], ids=["iid-shift", "doubling"])
-def test_a_kept_trace_keeps_no_increment_cache(sysm, obs):
-    # the sweep draws through a cache of its own: the trace's state0 and its
-    # checkpoints keep the caller's cache, which the sweep leaves empty, and
-    # a restart from a checkpoint reads the same draws from the key
+def test_a_kept_trace_keeps_no_increment_cache(sysm, obs, monkeypatch):
+    # the sweep draws through one cache of its own, which holds about one
+    # block; the trace's state0 and its checkpoints are plain values that
+    # hold no rows, and a restart from a checkpoint reads the same draws
+    made = []
+
+    def recorded(system, state):
+        made.append(cl.systems.increment_cache(system, state))
+        return made[-1]
+
+    monkeypatch.setattr(eng, "increment_cache", recorded)
     st0 = cl.sample_initial(sysm, 3)
     tr = cl.ergodic_sums(sysm, obs, st0, 2 * eng.BLOCK + 5, checkpoint_every=4096)
-    assert tr.state0.cache is st0.cache
-    assert sum(len(rows) for rows in tr.state0.cache._rows) == 0
-    assert all(cp.cache is st0.cache for cp in tr.checkpoints.values())
+    assert len(made) == 1
+    assert sum(len(rows) for rows in made[0]._rows) <= eng.BLOCK + 1024
+    assert tr.state0 is st0
+    for state in (tr.state0, *tr.checkpoints.values()):
+        assert vars(state).keys() == {"index", "coords", "origin", "traj_key"}
+        assert state.traj_key == st0.traj_key
     assert cl.cocycle_identity_check(tr, 4096 * 5, eng.BLOCK) == 0.0
-    assert sum(len(rows) for rows in st0.cache._rows) == 0
+    assert len(made) == 2
 
 
 def test_a_restart_stores_no_checkpoint(monkeypatch):
@@ -326,9 +336,9 @@ def test_sums_evaluate_each_orbit_row_once(monkeypatch, kind):
     sysm, obs = _KINDS[kind]
     real, rows = cl.systems.orbit_span, []
 
-    def counted(system, state, lo, hi):
+    def counted(system, state, lo, hi, cache=None):
         rows.append(hi - lo + 1)
-        return real(system, state, lo, hi)
+        return real(system, state, lo, hi, cache)
 
     monkeypatch.setattr(eng, "orbit_span", counted)
     monkeypatch.setattr(cl.systems, "orbit_span", counted)
@@ -359,6 +369,7 @@ _LATTICE = {
     "negative-zero": (_ROT, "-indicator(0.0,0.5)"),
     "vector": (_ROT, "[indicator(0.0,0.5)-0.5, 2*indicator(0.25,0.75)-1]"),
     "cobdrift": (_ROT, "cobdrift(h=indicator(0.0,0.5),c=[0.25])"),
+    "negated-factor": (_ROT, "indicator(0.0,0.5)*-3"),
 }
 _LONGDOUBLE = {
     "not-dyadic": (_ROT, "indicator(0.0,0.3)-0.3"),

@@ -50,7 +50,9 @@ def test_dimensions_and_lookahead():
     ("[indicator(0.0,0.5)-0.5, 2*indicator(0.25,0.75)-1]", (1, 6)),
     ("cobdrift(h=indicator(0.0,0.5),c=[0.25])", (2, 9)),
     ("0.3", (54, 5404319552844595)),
-    ("1e999", None),
+    ("indicator(0.0,0.5)*-3", (0, 3)),
+    ("-3*indicator(0.0,0.5)", (0, 3)),
+    ("--3*indicator(0.0,0.5)", (0, 3)),
     ("indicator(0.0,0.5)*0.5", None),
     ("indicator(0.0,0.5)/2", None),
     ("pow(indicator(0.0,0.5),2)", None),
@@ -84,6 +86,11 @@ def test_iid_lattices(law, lattice):
     "indicator(0.7,0.2)",      # empty interval
     "[frac, frac] + [frac, frac, frac]",   # dimension mismatch
     "iid(bogus)",              # unknown law
+    "1e999",                   # literals that are not finite numbers
+    "-1e999",
+    "pow(frac,1e999)",
+    "cobdrift(h=frac,c=[1e999])",
+    pytest.param("1" + "0" * 400 + "*frac", id="int-past-float64"),
 ])
 def test_malformed_observables(text):
     with pytest.raises(cl.ConfigInvalid) as err:

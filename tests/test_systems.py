@@ -80,8 +80,8 @@ def test_sample_initial_uniform_doubling():
 def test_sample_initial_iid_shift_origin():
     sysm = cl.iid_shift("rademacher", d=1, seed=3)
     st0 = cl.sample_initial(sysm, 0)
-    assert st0.index == 0
-    assert st0.cache is not None
+    # a state is a value: the index and the key its increments are drawn from
+    assert st0 == cl.SystemState(0, traj_key=(3, 0))
 
 
 def test_invertible_roundtrip():
@@ -207,26 +207,31 @@ def test_increment_cache_reads_equal_the_redrawing_cache(law, d, seed, spans):
 
 
 def test_increment_cache_draws_each_row_once(monkeypatch):
-    # the chunks handed out by _draw, laid end to end, are exactly the rows
-    # the cache holds: no row of either stream is drawn twice
+    # the chunks handed out by _draw, laid end to end, are exactly the draws
+    # of each stream from its start: a sweep draws no row twice, and each
+    # read draws once, what it lacks
     drawn = {0: [], 1: []}
     draw = cl.systems.IncrementCache._draw
 
-    def recorded(self, stream, count):
-        drawn[stream].append(draw(self, stream, count))
+    def recorded(self, stream, count, out=None):
+        drawn[stream].append(draw(self, stream, count, out).copy())
         return drawn[stream][-1]
 
     monkeypatch.setattr(cl.systems.IncrementCache, "_draw", recorded)
     cache = cl.systems.IncrementCache((4, 2), "gaussian", 2)
-    for lo in range(0, 1 << 20, 1 << 16):                 # the engine's forward blocks
+    fwd_reads = range(0, 1 << 20, 1 << 16)                # the engine's forward blocks
+    bwd_reads = range(-1, -100_000, -8192)                # backward blocks
+    for lo in fwd_reads:
         cache.get(lo, lo + (1 << 16))
-    for lo in range(-1, -100_000, -8192):                # backward reads
-        cache.get(lo - 8191, lo + 50)
-    # geometric growth: a handful of appends per stream, not one per block
-    assert len(drawn[0]) <= 6 and len(drawn[1]) <= 8
+    for lo in bwd_reads:
+        cache.get(lo - 8191, lo)
+    assert len(drawn[0]) == len(fwd_reads) and len(drawn[1]) == len(bwd_reads)
+    # the sweep holds about its latest read in each stream
+    assert len(cache._rows[0]) <= (1 << 16) + 1 and len(cache._rows[1]) <= 8192
     fwd, bwd = np.concatenate(drawn[0]), np.concatenate(drawn[1])
-    assert cache.get(0, len(fwd) - 1).tobytes() == fwd.tobytes()
-    assert cache.get(-len(bwd), -1)[::-1].tobytes() == bwd.tobytes()
+    fresh = cl.systems.IncrementCache((4, 2), "gaussian", 2)
+    assert fresh.get(0, len(fwd) - 1).tobytes() == fwd.tobytes()
+    assert fresh.get(-len(bwd), -1)[::-1].tobytes() == bwd.tobytes()
 
 
 # draw counts around the edges of the cache's appends (1024 rows) and of the
@@ -262,16 +267,19 @@ _SWEEP_READS = st.lists(st.tuples(st.integers(4, 3000), st.integers(-3, 4000)),
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(cl.systems.LAWS + ("words",)), st.integers(1, 3),
        st.integers(0, 2**32), st.integers(-5000, 5000), _SWEEP_READS, st.booleans())
-def test_detached_cache_reads_equal_a_keeping_cache(law, d, seed, start, reads, backward):
-    # the detached cache gives the keeping cache's bytes. In the stream whose
+def test_a_sweep_cache_holds_one_read_and_restarts_behind_it(law, d, seed, start, reads,
+                                                             backward):
+    # a sweep's reads give the bytes of a fresh cache's. In the stream whose
     # draws the sweep reads in order, from its second read there it keeps
-    # about one read, and refuses a read below the rows it kept
+    # about one read; a read below the rows it kept draws the stream again
+    # from the key and still gives the fresh cache's bytes
     if law == "words":              # the doubling map's digits: forward only
         d, start, backward = 1, abs(start), False
-    state = cl.SystemState(0, traj_key=(seed, 1),
-                           cache=cl.systems.IncrementCache((seed, 1), law, d))
-    sweep = cl.systems.detached(state).cache
-    keep = cl.systems.IncrementCache((seed, 1), law, d)
+
+    def fresh(lo, hi):
+        return cl.systems.IncrementCache((seed, 1), law, d).get(lo, hi).tobytes()
+
+    sweep = cl.systems.IncrementCache((seed, 1), law, d)
     up = 1 if backward else 0
     edge, longest, reads_up = start, 0, 0
     for length, gap in reads:
@@ -279,30 +287,34 @@ def test_detached_cache_reads_equal_a_keeping_cache(law, d, seed, start, reads, 
             (edge + gap, edge + gap + length)
         if law == "words":
             lo = max(lo, 0)
-        assert sweep.get(lo, hi).tobytes() == keep.get(lo, hi).tobytes()
+        assert sweep.get(lo, hi).tobytes() == fresh(lo, hi)
         longest = max(longest, hi - lo + 1)
         reads_up += bool(lo < 0 if up else hi >= 0)
         if reads_up >= 2:
             assert len(sweep._rows[up]) <= longest + 1028
         edge = lo if backward else hi
-    assert sum(len(rows) for rows in state.cache._rows) == 0
     if reads_up >= 2 and sweep._base[up] > 0:
         i = sweep._base[up] - 1                  # the last draw it dropped
-        with pytest.raises(ValueError):
-            sweep.get(*((-1 - i, -1 - i) if up else (i, i)))
+        behind = (-1 - i, -1 - i) if up else (i, i)
+        assert sweep.get(*behind).tobytes() == fresh(*behind)
+        assert sweep._base[up] == 0              # the stream starts again
 
 
 @pytest.mark.parametrize("index", [200_000, -200_000])
 def test_sweeps_from_either_side_of_the_origin(index):
     # a reverse sweep from a positive index reads the forward stream
     # downwards, a forward sweep from a negative one the backward stream:
-    # both keep that stream's rows and give the keeping cache's sums
+    # both keep that stream's rows and give the sums of a fresh cache's reads
     sysm = cl.iid_shift("gaussian", d=2, seed=4)
     obs = cl.iid_increment("gaussian", 2)
     st0 = cl.state_at(sysm, cl.sample_initial(sysm, 1), index)
     N = 150_000
-    for sums, inc in ((cl.ergodic_sums, st0.cache.get(index, index + N - 1)),
-                      (cl.reverse_sums, -st0.cache.get(index - N, index - 1)[::-1])):
+
+    def fresh(lo, hi):
+        return cl.systems.increment_cache(sysm, st0).get(lo, hi)
+
+    for sums, inc in ((cl.ergodic_sums, fresh(index, index + N - 1)),
+                      (cl.reverse_sums, -fresh(index - N, index - 1)[::-1])):
         got = sums(sysm, obs, st0, N, checkpoint_every=None).values
         want = np.concatenate([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
         assert np.max(np.abs(got - want)) <= 1e-9

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -292,6 +291,7 @@ def _base_summary(cfg: dict, fp: str, **extra) -> dict:
 def _map_tasks(fn, payloads, jobs: int):
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor     # only a pooled run pays for it
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as ex:
         return list(ex.map(fn, payloads))
 

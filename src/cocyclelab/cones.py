@@ -156,6 +156,13 @@ def _by_blocks(kernel, P0, P1) -> np.ndarray:
     return out
 
 
+def _crossing_fraction(a0, a1) -> np.ndarray:
+    # a0, a1: signed heights of the ends of segments that cross 0 (one end
+    # above 0, the other not, so a0 != a1): the fraction of each above 0
+    t0 = a0 / (a0 - a1)
+    return np.where(a0 > 0.0, t0, 1.0 - t0)
+
+
 def _faces(normals, P0, P1, tol):
     # normals: (k, d) inward face normals of a convex cone. Both ends inside
     # every face, or both beyond one face, by tol: the segment lies inside,
@@ -206,10 +213,8 @@ class HalfSpace(Cone):
         pos0 = a0 > 0.0
         pos1 = a1 > 0.0
         fr = pos1.astype(np.float64)
-        # only segments whose ends differ in sign cross; there a0 != a1
         i = np.flatnonzero(pos0 != pos1)
-        t0 = a0[i] / (a0[i] - a1[i])
-        fr[i] = np.where(pos0[i], t0, 1.0 - t0)
+        fr[i] = _crossing_fraction(a0[i], a1[i])
         return fr
 
 

@@ -5,7 +5,9 @@ segments, each taking 1/n of the time budget. The fraction of time a
 segment spends inside a cone comes from the exact crossing kernels in
 `cones`, so tau needs no quadrature: it is the mean of per-segment
 inside fractions. The piecewise-constant variant counts the lattice
-points themselves.
+points themselves. A series of horizons folds the segments in blocks
+of `cones.ROWS`, carrying a running sum and a count, so it holds no
+array as long as the horizon.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import BallWindow, Cone
+from .cones import ROWS, BallWindow, Cone
 from .engine import CocycleTrace
 from .errors import ConfigInvalid
 
@@ -68,19 +70,48 @@ class SojournSeries:
         return float(self.tau.min())
 
 
+def _blocks(n: int) -> list:
+    # [lo, hi) blocks of ROWS segments at multiples of ROWS, so that the
+    # blocked kernels split each one as they split the whole; a one-row
+    # remainder joins the block before it (matmul rounds a one-row array
+    # another way, and the kernels split it off as before)
+    bounds = list(range(0, n, ROWS)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def sojourn_series(trace: CocycleTrace, cone: Cone, grid=None) -> SojournSeries:
     """tau and tau_discrete at each grid horizon (default: dyadic).
 
-    Per-segment fractions are computed once for the longest horizon;
-    each tau_n is a prefix mean.
+    The segments up to the longest horizon are folded in blocks of ROWS:
+    each block's fractions continue the running sum (the same sequential
+    sum as one cumsum over all of them) and its points in the cone
+    continue an integer count, and the horizons that end in the block
+    read both. Memory is bounded by the block, not by the horizon. The
+    grid may be unsorted and may repeat horizons.
     """
     ns = dyadic_grid(trace.N) if grid is None else np.asarray(grid, dtype=np.int64)
     if len(ns) == 0 or ns.min() < 1 or ns.max() > trace.N:
         raise ConfigInvalid("grid", "grid horizons must lie in [1, N]")
     top = int(ns.max())
     P0, P1 = _segments(trace, top)
-    frac_cum = np.cumsum(cone.segment_fraction(P0, P1))
-    disc_cum = np.cumsum(cone.contains(P1).astype(np.float64))
-    taus = frac_cum[ns - 1] / ns
-    discs = disc_cum[ns - 1] / ns
-    return SojournSeries(ns, taus, discs)
+    order = np.argsort(ns, kind="stable")
+    at = ns[order] - 1                      # each horizon's last segment, ascending
+    frac_at = np.empty(len(ns))
+    disc_at = np.empty(len(ns), dtype=np.int64)
+    frac_cum = np.empty(min(top, ROWS + 1))
+    disc_cum = np.empty(len(frac_cum), dtype=np.int64)
+    run, count = 0.0, 0
+    for lo, hi in _blocks(top):
+        fr = cone.segment_fraction(P0[lo:hi], P1[lo:hi])
+        if lo:
+            fr[0] += run
+        fc = np.cumsum(fr, out=frac_cum[:hi - lo])
+        dc = np.cumsum(cone.contains(P1[lo:hi]), out=disc_cum[:hi - lo])
+        dc += count
+        run, count = fc[-1], dc[-1]
+        a, b = np.searchsorted(at, (lo, hi))
+        frac_at[order[a:b]] = fc[at[a:b] - lo]
+        disc_at[order[a:b]] = dc[at[a:b] - lo]
+    return SojournSeries(ns, frac_at / ns, disc_at / ns)

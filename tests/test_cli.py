@@ -385,7 +385,8 @@ def test_brownian_step_size_is_a_config_error(tmp_path, capsys, cone, h):
 @pytest.mark.parametrize("stack", [
     ["scipy"],
     ["jsonschema", "referencing", "rpds", "jsonschema_specifications"],
-], ids=["scipy", "jsonschema"])
+    ["concurrent", "multiprocessing"],
+], ids=["scipy", "jsonschema", "process-pool"])
 def test_cli_import_loads_no_stack(stack):
     # a fresh interpreter, so modules loaded by other tests do not count
     src = str(Path(cocyclelab.__file__).resolve().parents[1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import directions as dr
-from cocyclelab.cones import ROWS, _norm
+from cocyclelab.cones import ROWS, _norm, _true_norm
 
 
 def rademacher_trace(sys_seed: int, init_seed: int, n: int) -> cl.CocycleTrace:
@@ -455,3 +455,42 @@ def test_finite_rows_keep_their_cells_and_norms(law, d, seed, n, bad):
     want_norms = np.where(big[_norm(rows) > 0.0], np.ldexp(want_norms, 200), want_norms)
     assert norms.tobytes() == want_norms.tobytes()
     assert np.array_equal(cells, want_cells)
+
+
+def cells_and_norms_broadcast(values, mesh):
+    # _cells_and_norms as it was, dividing each block by its norms in one
+    # broadcast, kept verbatim as the reference for the column-wise division
+    n = len(values)
+    cells = np.empty(n, dtype=np.min_scalar_type(mesh.K))
+    norms = np.empty(n)
+    U = np.empty((min(n, ROWS), values.shape[1]))
+    kept = 0
+    for lo in range(0, n, ROWS):
+        V = values[lo:lo + ROWS]
+        nrm = _true_norm(V)
+        nz = (nrm > 0.0) & (nrm < np.inf)
+        if not nz.all():
+            V, nrm = V[nz], nrm[nz]
+        k = kept + len(nrm)
+        cells[kept:k] = mesh.assign(np.divide(V, nrm[:, None], out=U[:len(nrm)]))
+        norms[kept:k] = nrm
+        kept = k
+    return cells[:kept], norms[:kept]
+
+
+@pytest.mark.parametrize("law", cl.systems.LAWS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_columnwise_division_equals_the_broadcast(law, d):
+    # rows with a zero, NaN, infinite or overflowing norm, in the first
+    # block and across block boundaries
+    values = walk_values(law, d, 17 + d, 2 * ROWS + 3)
+    values[[3, ROWS - 1]] = 0.0
+    values[5, 0] = np.nan
+    values[ROWS, d - 1] = np.inf
+    values[ROWS + 1] = 1e300
+    values[2 * ROWS + 2] = -1e308
+    for mesh in (dr.make_mesh(d), dr.make_mesh(d, _MESHES[d][-1])):
+        cells, norms = dr._cells_and_norms(values, mesh)
+        want_cells, want_norms = cells_and_norms_broadcast(values, mesh)
+        assert cells.tobytes() == want_cells.tobytes() and cells.dtype == want_cells.dtype
+        assert norms.tobytes() == want_norms.tobytes()

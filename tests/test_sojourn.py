@@ -1,11 +1,14 @@
 """Cone occupation times of interpolated partial-sum paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cocyclelab as cl
 from cocyclelab import AngularCone, Complement, HalfSpace, Orthant
 from cocyclelab import sojourn as so
+from cocyclelab.cones import ROWS
 
 HALF_PLANE = HalfSpace([0.0, 1.0])
 
@@ -170,3 +173,84 @@ def test_shift_stability_with_inflated_cone():
             assert cl.tau(tr_x, n, narrow) <= (
                 cl.tau(tr_tx, n, wide)
                 + cl.ball_visit_frequency(tr_x, n, M) + edge + 0.01)
+
+
+# sojourn_series before it folded the segments in blocks, kept verbatim as
+# the reference: four arrays as long as the top horizon
+
+def sojourn_series_before(trace, cone, grid=None):
+    ns = so.dyadic_grid(trace.N) if grid is None else np.asarray(grid, dtype=np.int64)
+    if len(ns) == 0 or ns.min() < 1 or ns.max() > trace.N:
+        raise cl.ConfigInvalid("grid", "grid horizons must lie in [1, N]")
+    top = int(ns.max())
+    P0, P1 = so._segments(trace, top)
+    frac_cum = np.cumsum(cone.segment_fraction(P0, P1))
+    disc_cum = np.cumsum(cone.contains(P1).astype(np.float64))
+    taus = frac_cum[ns - 1] / ns
+    discs = disc_cum[ns - 1] / ns
+    return so.SojournSeries(ns, taus, discs)
+
+
+def walk_trace(law: str, d: int, seed: int, n: int) -> cl.CocycleTrace:
+    sysm = cl.iid_shift(law, d=d, seed=seed)
+    return cl.ergodic_sums(sysm, cl.iid_increment(law, d), cl.sample_initial(sysm, seed), n,
+                           checkpoint_every=None)
+
+
+_CONES = {
+    2: ["halfspace:0.6,0.8", "angular:1,0,0.5", "angular:1,1,1.7", "!angular:1,0,0.5",
+        "!halfspace:0,1", "orthant:1,-1", "!orthant:1,1", "full:2"],
+    3: ["halfspace:0.6,0.8,0", "angular:1,0,0,0.5", "angular:0,1,1,1.6", "!angular:1,0,0,0.5",
+        "orthant:1,-1,0", "full:3"],
+}
+_GRIDS = [None, [ROWS - 1], [ROWS], [ROWS + 1], [3 * ROWS + 1],
+          [3 * ROWS + 1, 5, ROWS, 5, 1, 2 * ROWS + 1, ROWS + 1, 2 * ROWS, 3 * ROWS + 1],
+          list(range(ROWS - 3, ROWS + 4))[::-1]]
+
+
+@pytest.mark.parametrize("law", ["rademacher", "gaussian", "cauchy"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_blocked_series_equals_the_series_before(law, d):
+    # dyadic, unsorted and repeated grids whose tops end a block, or one row
+    # before or after it, including a lone row past three blocks
+    tr = walk_trace(law, d, 11 + d, 3 * ROWS + 1)
+    for text in _CONES[d]:
+        cone = cl.parse_cone(text, d)
+        for grid in _GRIDS:
+            got = cl.sojourn_series(tr, cone, grid)
+            want = sojourn_series_before(tr, cone, grid)
+            assert got.ns.tobytes() == want.ns.tobytes(), (text, grid)
+            assert got.tau.tobytes() == want.tau.tobytes(), (text, grid)
+            assert got.tau_disc.tobytes() == want.tau_disc.tobytes(), (text, grid)
+
+
+def test_block_bounds_never_leave_a_lone_row():
+    for n in (1, 2, ROWS - 1, ROWS, ROWS + 1, ROWS + 2, 3 * ROWS + 1):
+        blocks = so._blocks(n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(lo % ROWS == 0 for lo, _ in blocks)
+        assert n == 1 or all(hi - lo > 1 for lo, hi in blocks)
+
+
+def series_peak(tr, cone) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cl.sojourn_series(tr, cone)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("text, mb", [("halfspace:0,1", 2), ("angular:1,0,0.5", 2),
+                                      ("orthant:1,-1", 3)])
+def test_series_memory_is_flat_in_the_horizon(text, mb):
+    # the fold keeps block-sized buffers (the orthant's unscreened closed form
+    # keeps the most); the whole-array series held four arrays of N floats,
+    # 8 MB at 2^18 steps and twice that at 2^19, besides the kernel's own
+    cone = cl.parse_cone(text, 2)
+    small = series_peak(rademacher_trace(5, 1 << 18), cone)
+    large = series_peak(rademacher_trace(5, 1 << 19), cone)
+    assert small < mb * 2**20
+    assert large / small <= 1.2

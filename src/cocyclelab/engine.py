@@ -27,7 +27,7 @@ import numpy as np
 from .cones import _true_norm
 from .errors import MissingCheckpoint, NotInvertible
 from .observables import ObservableSpec
-from .systems import SystemSpec, SystemState, increment_cache, orbit_span, state_in_span
+from .systems import SystemSpec, SystemState, orbit_span, state_in_span
 
 BLOCK = 1 << 16
 
@@ -109,11 +109,10 @@ def _sweep(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
     carry = np.zeros(obs.d, dtype=np.longdouble)
     # forward, row hi+1 must exist for on-grid checkpoints
     ext = max(1, obs.lookahead) if sign > 0 else obs.lookahead
-    cache = increment_cache(system, state0)
     for done in range(0, N, BLOCK):
         m = min(done + BLOCK, N)   # this block covers steps done+1 .. m
         lo, hi = (done, m - 1) if sign > 0 else (-m, -done - 1)
-        data = orbit_span(system, state0, lo, hi + ext, cache)
+        data = orbit_span(system, state0, lo, hi + ext)
         phi = obs.evaluate(data, lo, hi)
         carry = _accumulate(phi if sign > 0 else -phi[::-1], carry,
                             values[done + 1:m + 1], _exact(obs, m))

@@ -15,8 +15,8 @@ import numpy as np
 from .engine import _accumulate, _exact
 from .errors import CapExceeded, ConfigInvalid
 from .observables import ObservableSpec
-from .systems import (OrbitData, SystemSpec, SystemState, increment_cache,
-                      orbit_span, sample_initial, state_at)
+from .systems import (OrbitData, SystemSpec, SystemState, orbit_span, sample_initial,
+                      state_at)
 
 BLOCK = 8192
 
@@ -129,7 +129,6 @@ def _scan_returns(system, B, state, n_returns, cap, obs=None):
     obs: None, or the observable whose partial sums are also recorded
     at the returns. Returns (return_times, values or None).
     """
-    cache = increment_cache(system, state)
     rt = np.empty(n_returns, dtype=np.int64)
     vals = np.zeros((n_returns + 1, obs.d)) if obs is not None else None
     carry = np.zeros(obs.d, dtype=np.longdouble) if obs is not None else None
@@ -139,7 +138,7 @@ def _scan_returns(system, B, state, n_returns, cap, obs=None):
     while found < n_returns:
         b = a + BLOCK - 1
         ext = max(1, obs.lookahead) if obs is not None else 0
-        data = orbit_span(system, state, a - 1 if obs is not None else a, b + ext, cache)
+        data = orbit_span(system, state, a - 1 if obs is not None else a, b + ext)
         mask = B.contains(data, a, b)
         if obs is not None:
             phi = obs.evaluate(data, a - 1, b - 1)        # rows k = a-1 .. b-1

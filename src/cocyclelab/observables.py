@@ -6,7 +6,7 @@ parsed through ``ast`` (see the README for the BNF):
 
 - ``indicator(a,b)``: 1 on a <= x < b, else 0 (first coordinate)
 - ``frac`` / ``y``: first / second phase coordinate
-- ``iid(law, d=k)``: the shift's cached increment vector (law and d
+- ``iid(law, d=k)``: the shift's realized increment vector (law and d
   must match the system)
 - ``cobdrift(h=EXPR, c=[..])``: h(Tx) - h(x) + c
 - numbers, ``+ - * /``, unary minus, ``pow(e,k)``, ``floor(e)``,

@@ -11,10 +11,10 @@ invertibility flag:
   state's 53 digits, then digits drawn from the trajectory key.
 - ``cat-map``: (x,y) -> (2x+y, x+y) mod 1 on the 2-torus, invertible.
 - ``iid-shift``: two-sided shift over i.i.d. increments in R^d
-  (rademacher | gaussian | cauchy). The realized increment sequence is
-  reproducible in both directions from the trajectory key: each side is
-  one stream, drawn in order. States are plain values; a sweep reads
-  through one cache of its own (`increment_cache`).
+  (rademacher | gaussian | cauchy). The realized increments, like the
+  doubling map's digits, are a pure function of the trajectory key and
+  the index (`increments`), so states are plain values and any span can
+  be read in any order.
 
 Doubling and cat-map orbits are exact in uint64 arithmetic on the
 lattice 2^-53 Z, so float coords are a state's whole position; a
@@ -24,7 +24,9 @@ no horizon here sees a lattice orbit repeat.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,7 +46,9 @@ ALPHAS = {
 _MASK = np.uint64((1 << 53) - 1)       # lattice positions are (X & _MASK) * 2^-53
 _CAT = np.array([[2, 1], [1, 1]], dtype=np.uint64)
 _CAT_INV = np.array([[1, -1], [-1, 2]]).astype(np.uint64)     # entries mod 2^64
-_WORDS = "words"            # the IncrementCache law of the doubling map's digit stream
+_WORDS = "words"            # the `increments` law of the doubling map's digit stream
+MARK = 8192                 # rows between the generator states saved for a stream
+_ANY_SEED = np.random.SeedSequence(0)   # a mark then sets the generator's whole state
 
 
 @dataclass(frozen=True)
@@ -106,87 +110,79 @@ def iid_shift(law: str = "rademacher", d: int = 1, seed: int = 0) -> SystemSpec:
     return SystemSpec("iid-shift", law=law, d=d, seed=seed)
 
 
-class IncrementCache:
-    """Two-sided cache of realized i.i.d. increments, for one reader.
+def _draw(rng: np.random.Generator, law: str, d: int, out: np.ndarray) -> np.ndarray:
+    # the next len(out) rows of a stream into out; chunked draws equal one-shot draws
+    count = len(out)
+    flat = out.reshape(count * d)
+    if law == _WORDS:
+        flat[:] = rng.bit_generator.random_raw(count * d)
+    elif law == "rademacher":
+        # -1 below 0.5, else +1: r - 0.5 is exact and carries the sign
+        rng.random(out=flat)
+        flat -= 0.5
+        np.copysign(1.0, flat, out=flat)
+    elif law == "gaussian":
+        rng.standard_normal(out=flat)
+    else:
+        # cauchy: isotropic, gaussian vector over an independent |gaussian|
+        block = rng.standard_normal(count * (d + 1)).reshape(count, d + 1)
+        scale = np.abs(block[:, d], out=block[:, d])
+        for j in range(d):
+            np.divide(block[:, j], scale, out=out[:, j])
+    return out
 
-    Increment at absolute index i >= 0 is draw i of the forward stream;
-    index i < 0 is draw (-1-i) of the backward stream. Each stream is one
-    live generator seeded by the trajectory key and drawn in order, so the
-    realized sequence is a pure function of (key, law, d). The law "words"
-    is the doubling map's forward-only uint64 digit stream.
-    A read draws what it lacks (at least 1024 rows). Once reads move up a
-    stream, the rows below the latest read are dropped, so a sweep holds
-    about one read; a stream read downwards keeps its rows. A read below
-    the kept rows draws that stream again from its key.
+
+@functools.lru_cache(maxsize=64)
+def _marks(seed: tuple, law: str, d: int) -> dict:
+    # g -> the state of the generator keyed `seed` before its row g * MARK,
+    # for g = 0, 1, ...; reads add the next ones. A state is a function of g
+    # alone, so reads that both save it agree. A mark counts rows, not
+    # generator outputs, so law and d are part of the key
+    return {0: np.random.default_rng(seed).bit_generator.state}
+
+
+def _stream(seed: tuple, law: str, d: int, a: int, b: int) -> np.ndarray:
+    # rows a .. b-1 of the stream keyed `seed`, as a fresh array: from the
+    # last mark at or below a, in chunks that end at each multiple of MARK,
+    # where a missing mark is saved; skipped rows go to a scratch chunk
+    marks = _marks(seed, law, d)
+    at = min(a // MARK, len(marks) - 1) * MARK
+    rng = np.random.Generator(np.random.PCG64(_ANY_SEED))    # a third of default_rng's cost
+    rng.bit_generator.state = marks[at // MARK]
+    dtype = np.uint64 if law == _WORDS else np.float64
+    out = np.empty((b - a, d), dtype)
+    skip = np.empty((min(a - at, MARK), d), dtype)
+    while at < b:
+        stop = min(b, at - at % MARK + MARK)
+        if at < a:
+            stop = min(stop, a)
+            _draw(rng, law, d, skip[:stop - at])
+        else:
+            _draw(rng, law, d, out[at - a:stop - a])
+        at = stop
+        if at % MARK == 0 and at // MARK not in marks:
+            marks[at // MARK] = rng.bit_generator.state
+    return out
+
+
+def increments(key: tuple, law: str, d: int, lo: int, hi: int) -> np.ndarray:
+    """Realized draws at absolute indices lo..hi inclusive, as a fresh (n, d) array.
+
+    A pure function of (key, law, d, index). Index i >= 0 is draw i of the
+    stream keyed ``(*key, 0)``, or ``(*key, 2)`` for the doubling map's
+    uint64 digit words (law ``"words"``); index i < 0 is draw -1-i of
+    ``(*key, 1)``. Generator states are saved every MARK rows of the 64
+    streams read last, so a read costs its own rows plus at most MARK more
+    once a stream's marks reach it; a first read far out draws its way
+    there a MARK at a time and keeps none of those rows.
     """
-
-    def __init__(self, key: tuple, law: str, d: int):
-        self.key, self.law, self.d = key, law, d
-        self._dtype = np.uint64 if law == _WORDS else np.float64
-        self._seeds = [(*key, 2)] if law == _WORDS else [(*key, 0), (*key, 1)]
-        self._rngs = [np.random.default_rng(seed) for seed in self._seeds]
-        self._rows = [np.empty((0, d), self._dtype) for _ in self._seeds]
-        self._base = [0 for _ in self._seeds]       # draw number of each stream's first kept row
-        self._last = [None for _ in self._seeds]    # first draw of each stream's latest read
-
-    def _draw(self, stream: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        # the next `count` rows of a stream, into `out` if given; chunked
-        # draws equal one-shot draws
-        rng = self._rngs[stream]
-        d = self.d
-        if out is None:
-            out = np.empty((count, d), self._dtype)
-        flat = out.reshape(count * d)
-        if self.law == _WORDS:
-            flat[:] = rng.bit_generator.random_raw(count * d)
-        elif self.law == "rademacher":
-            # -1 below 0.5, else +1: r - 0.5 is exact and carries the sign
-            rng.random(out=flat)
-            flat -= 0.5
-            np.copysign(1.0, flat, out=flat)
-        elif self.law == "gaussian":
-            rng.standard_normal(out=flat)
-        else:
-            # cauchy: isotropic, gaussian vector over an independent |gaussian|
-            block = rng.standard_normal(count * (d + 1)).reshape(count, d + 1)
-            scale = np.abs(block[:, d], out=block[:, d])
-            for j in range(d):
-                np.divide(block[:, j], scale, out=out[:, j])
-        return out
-
-    def _span(self, stream: int, a: int, b: int) -> np.ndarray:
-        # draws a .. b-1 of a stream, as a view of the kept rows; new rows are
-        # drawn straight into the array that keeps them, after the kept tail
-        if a < self._base[stream]:      # dropped rows: draw the stream again from its key
-            self._rngs[stream] = np.random.default_rng(self._seeds[stream])
-            self._rows[stream] = self._rows[stream][:0]
-            self._base[stream], self._last[stream] = 0, None
-        rows, base, last = self._rows[stream], self._base[stream], self._last[stream]
-        keep = a if last is not None and a >= last else base
-        self._last[stream] = a
-        end = base + len(rows)
-        if b > end:
-            top = end + max(b - end, 1024)
-            if keep > end:
-                self._draw(stream, keep - end)          # rows no read will see
-            tail = rows[keep - base:]
-            rows = np.empty((top - keep, self.d), self._dtype)
-            rows[:len(tail)] = tail
-            self._draw(stream, top - keep - len(tail), out=rows[len(tail):])
-        else:
-            rows = rows[keep - base:]
-        self._rows[stream], self._base[stream] = rows, keep
-        return rows[a - keep:b - keep]
-
-    def get(self, lo: int, hi: int) -> np.ndarray:
-        """Increments for absolute indices lo..hi inclusive, as a fresh array."""
-        parts = []
-        if lo < 0:
-            # indices lo..min(hi, -1) are backward draws -1-lo down to -1-min(hi, -1)
-            parts.append(self._span(1, -1 - min(hi, -1), -lo)[::-1])
-        if hi >= 0:
-            parts.append(self._span(0, max(lo, 0), hi + 1))
-        return np.concatenate(parts)
+    fwd = None
+    if hi >= 0:
+        fwd = _stream((*key, 2 if law == _WORDS else 0), law, d, max(lo, 0), hi + 1)
+        if lo >= 0:
+            return fwd
+    bwd = _stream((*key, 1), law, d, -1 - min(hi, -1), -lo)[::-1]
+    return np.ascontiguousarray(bwd) if fwd is None else np.concatenate([bwd, fwd])
 
 
 @dataclass(frozen=True)
@@ -234,15 +230,6 @@ def sample_initial(system: SystemSpec, seed: int) -> SystemState:
     return SystemState(0, traj_key=key)
 
 
-def increment_cache(system: SystemSpec, state: SystemState) -> IncrementCache | None:
-    """A fresh cache of the draws behind ``state``'s orbit; None if it has none."""
-    if system.kind == "doubling":
-        return IncrementCache(state.traj_key, _WORDS, 1)
-    if system.kind == "iid-shift":
-        return IncrementCache(state.traj_key, system.law, system.d)
-    return None
-
-
 def _lattice(coords: np.ndarray) -> np.ndarray:
     # X with X * 2^-53 the nearest lattice point to each coordinate, mod 1
     return np.mod(np.rint(coords * 2.0 ** 53), 2.0 ** 53).astype(np.uint64)
@@ -254,12 +241,13 @@ def _windows(words: np.ndarray, s) -> np.ndarray:
     return ((words[:-1, None] << s) | (words[1:, None] >> (64 - s))).ravel()
 
 
-def _doubling_positions(state: SystemState, lo: int, hi: int, cache) -> np.ndarray:
+def _doubling_positions(state: SystemState, lo: int, hi: int) -> np.ndarray:
     # x = 0.b1 b2 ...: the state's lattice digits X, then the word stream from
     # bit `index` on. V is 11 zero bits then b1 b2 ..., in words: V[0] = X and
     # V[k] = stream word k-1. T^r x is the low 53 of V's 64 bits from bit r.
     i, a, b = state.index, lo // 64, hi // 64 + 1      # V words a..b are read
-    V = _windows(cache.get(i // 64 + max(a - 1, 0), i // 64 + b)[:, 0], np.uint64(i % 64))
+    words = increments(state.traj_key, _WORDS, 1, i // 64 + max(a - 1, 0), i // 64 + b)
+    V = _windows(words[:, 0], np.uint64(i % 64))
     if a == 0:
         V = np.concatenate([_lattice(state.coords), V])
     bits = _windows(V, np.arange(64, dtype=np.uint64))[lo - 64 * a:hi - 64 * a + 1]
@@ -284,18 +272,14 @@ def _cat_positions(state: SystemState, lo: int, hi: int) -> np.ndarray:
     return (xy.T & _MASK) * 2.0 ** -53
 
 
-def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int,
-               cache: IncrementCache | None = None) -> OrbitData:
+def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int) -> OrbitData:
     """Positions/increments for relative steps lo..hi (inclusive), vectorized.
 
-    Draws are read through ``cache`` (`increment_cache`), else a throwaway one.
     Raises NotInvertible when a negative relative step is requested on
     the doubling map.
     """
     if hi < lo:
         raise ValueError("empty span")
-    if cache is None:
-        cache = increment_cache(system, state)
     if system.kind == "rotation":
         idx = (state.index + np.arange(lo, hi + 1)).astype(np.float64)
         pos = np.mod(state.origin + system.alpha_value * idx, 1.0)
@@ -303,10 +287,11 @@ def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int,
     if system.kind == "doubling":
         if state.index + lo < 0 or lo < 0:
             raise NotInvertible("doubling map has no backward orbit")
-        return OrbitData(lo, hi, _doubling_positions(state, lo, hi, cache)[:, None], None)
+        return OrbitData(lo, hi, _doubling_positions(state, lo, hi)[:, None], None)
     if system.kind == "cat-map":
         return OrbitData(lo, hi, _cat_positions(state, lo, hi), None)
-    inc = cache.get(state.index + lo, state.index + hi)
+    inc = increments(state.traj_key, system.law, system.d, state.index + lo,
+                     state.index + hi)
     return OrbitData(lo, hi, None, inc)
 
 
@@ -346,4 +331,14 @@ def parse_system(obj: dict, seed: int = 0) -> SystemSpec:
     if extra:
         raise ConfigInvalid("system", f"unknown fields {sorted(extra)}")
     return SystemSpec(kind, alpha=obj.get("alpha"), law=obj.get("law"),
-                      d=int(obj.get("d", 1)), seed=int(obj.get("seed", seed)))
+                      d=_integer(obj, "d", 1), seed=_integer(obj, "seed", seed))
+
+
+def _integer(obj: dict, name: str, default: int) -> int:
+    # the config schema's integer rule (no bool, a float only if integral),
+    # which numpy integers from library callers also pass
+    v = obj.get(name, default)
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool) or \
+            isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ConfigInvalid(f"system.{name}", f"{v!r} is not of type 'integer'")

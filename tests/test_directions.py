@@ -297,7 +297,7 @@ def direction_scan_before(system, obs, N, seeds, mesh=None, thresholds=None,
 def walk_values(law, d, seed, n):
     if n == 0:
         return np.empty((0, d))
-    return np.cumsum(cl.systems.IncrementCache((seed, 1), law, d).get(0, n - 1), axis=0)
+    return np.cumsum(cl.systems.increments((seed, 1), law, d, 0, n - 1), axis=0)
 
 
 def same_histogram(a, b):

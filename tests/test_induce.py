@@ -105,26 +105,16 @@ def test_coboundary_heredity():
     assert np.max(np.abs(it.values)) <= 2.0 + 1e-9
 
 
-def test_a_kept_induced_trace_keeps_no_increment_cache(monkeypatch):
-    # the scan draws through one cache of its own, which holds about one
-    # block; the induced trace's state0 is a plain value that holds no rows,
-    # and the induced values are the full-orbit sums at the return times
-    made = []
-
-    def recorded(system, state):
-        made.append(cl.systems.increment_cache(system, state))
-        return made[-1]
-
-    monkeypatch.setattr(cl.induce, "increment_cache", recorded)
+def test_a_kept_induced_trace_keeps_no_increment_cache():
+    # the scan reads its draws as a pure function of the key and the index;
+    # the induced trace's state0 is a plain value that holds no rows, and
+    # the induced values are the full-orbit sums at the return times
     sysm = cl.iid_shift("rademacher", d=2, seed=8)
     obs = cl.iid_increment("rademacher", 2)
     B = cl.cylinder_positive(0)
     entry = cl.first_entry(sysm, B, cl.sample_initial(sysm, 3), CAP).index
     st0 = cl.state_at(sysm, cl.sample_initial(sysm, 3), entry)
-    made.clear()
     it = cl.induced_trace(sysm, obs, B, st0, 100_000, CAP)
-    assert len(made) == 1
-    assert sum(len(rows) for rows in made[0]._rows) <= cl.induce.BLOCK + 1024
     assert it.state0 is st0
     assert vars(it.state0).keys() == {"index", "coords", "origin", "traj_key"}
     tr = cl.ergodic_sums(sysm, obs, st0, int(it.return_times[-1]), checkpoint_every=None)

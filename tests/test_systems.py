@@ -1,5 +1,8 @@
 """Base dynamics: stepping, inversion, initial sampling, invariance."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,7 +60,7 @@ def test_iid_shift_two_sided_indexing():
     assert fwd.index == 1
     back = cl.step_back(sysm, fwd)
     assert back.index == 0
-    # the realized sequence is cached: rereads are bit-identical
+    # the realized sequence is a function of the index: rereads are bit-identical
     assert np.array_equal(cl.evaluate_at(sysm, obs, back), inc0)
     neg = cl.step_back(sysm, back)
     assert neg.index == -1
@@ -124,6 +127,16 @@ def test_parse_system():
     assert sysm.law == "cauchy" and sysm.d == 2
     with pytest.raises(cl.ConfigInvalid):
         cl.parse_system({"kind": "banana"})
+    # d and seed follow the config schema's integer rule, with typed errors
+    sysm = cl.parse_system({"kind": "iid-shift", "law": "gaussian", "d": 3.0, "seed": -2.0})
+    assert (sysm.d, sysm.seed) == (3, -2) and type(sysm.d) is type(sysm.seed) is int
+    assert cl.parse_system({"kind": "doubling", "seed": np.int64(5)}).seed == 5
+    for field, bad in (("d", "x"), ("d", None), ("d", 2.7), ("d", True), ("d", float("inf")),
+                       ("d", [2]), ("seed", "s"), ("seed", 0.5), ("seed", False),
+                       ("seed", float("nan"))):
+        with pytest.raises(cl.ConfigInvalid) as err:
+            cl.parse_system({"kind": "iid-shift", "law": "gaussian", field: bad})
+        assert err.value.field == f"system.{field}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,49 +207,35 @@ _SPANS = st.tuples(st.integers(-6000, 6000), st.integers(0, 2500)).map(
 @given(st.sampled_from(cl.systems.LAWS), st.integers(1, 3), st.integers(0, 2**32),
        st.lists(_SPANS, min_size=1, max_size=8))
 def test_increment_cache_reads_equal_the_redrawing_cache(law, d, seed, spans):
-    # any order of two-sided reads, across growth steps, gives the bytes the
-    # redrawing cache gave; each read is a fresh array, not a view of the cache
-    cache = cl.systems.IncrementCache((seed, 1), law, d)
+    # any order of two-sided reads, across marks, gives the bytes the
+    # redrawing cache gave; each read is a fresh array
     ref = RedrawingIncrementCache((seed, 1), law, d)
     for lo, hi in spans:
-        got = cache.get(lo, hi)
+        got = cl.systems.increments((seed, 1), law, d, lo, hi)
         assert got.shape == (hi - lo + 1, d) and got.flags.c_contiguous
         assert got.tobytes() == ref.get(lo, hi).tobytes()
         got[:] = np.nan
-        assert cache.get(lo, hi).tobytes() == ref.get(lo, hi).tobytes()
+        assert cl.systems.increments((seed, 1), law, d, lo, hi).tobytes() == \
+            ref.get(lo, hi).tobytes()
 
 
-def test_increment_cache_draws_each_row_once(monkeypatch):
-    # the chunks handed out by _draw, laid end to end, are exactly the draws
-    # of each stream from its start: a sweep draws no row twice, and each
-    # read draws once, what it lacks
-    drawn = {0: [], 1: []}
-    draw = cl.systems.IncrementCache._draw
-
-    def recorded(self, stream, count, out=None):
-        drawn[stream].append(draw(self, stream, count, out).copy())
-        return drawn[stream][-1]
-
-    monkeypatch.setattr(cl.systems.IncrementCache, "_draw", recorded)
-    cache = cl.systems.IncrementCache((4, 2), "gaussian", 2)
-    fwd_reads = range(0, 1 << 20, 1 << 16)                # the engine's forward blocks
-    bwd_reads = range(-1, -100_000, -8192)                # backward blocks
-    for lo in fwd_reads:
-        cache.get(lo, lo + (1 << 16))
-    for lo in bwd_reads:
-        cache.get(lo - 8191, lo)
-    assert len(drawn[0]) == len(fwd_reads) and len(drawn[1]) == len(bwd_reads)
-    # the sweep holds about its latest read in each stream
-    assert len(cache._rows[0]) <= (1 << 16) + 1 and len(cache._rows[1]) <= 8192
-    fwd, bwd = np.concatenate(drawn[0]), np.concatenate(drawn[1])
-    fresh = cl.systems.IncrementCache((4, 2), "gaussian", 2)
-    assert fresh.get(0, len(fwd) - 1).tobytes() == fwd.tobytes()
-    assert fresh.get(-len(bwd), -1)[::-1].tobytes() == bwd.tobytes()
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32),
+       st.lists(st.tuples(st.integers(0, 40_000), st.integers(0, 20_000)), min_size=1,
+                max_size=6))
+def test_word_reads_are_the_raw_stream(seed, spans):
+    # the doubling map's digit words, read in any order and across marks,
+    # are the raw outputs of the generator keyed (*key, 2)
+    raw = np.random.default_rng((seed, 1, 2)).bit_generator.random_raw(60_001)
+    for lo, n in spans:
+        got = cl.systems.increments((seed, 1), "words", 1, lo, lo + n)
+        assert got.dtype == np.uint64 and got.shape == (n + 1, 1)
+        assert got[:, 0].tobytes() == raw[lo:lo + n + 1].tobytes()
 
 
-# draw counts around the edges of the cache's appends (1024 rows) and of the
-# engine's blocks (2^16 rows), and arbitrary ones
-_COUNTS = st.lists(st.sampled_from([1, 2, 1023, 1024, 1025, 65535, 65536, 65537])
+# draw counts around the edges of the marks (8192 rows) and of the engine's
+# blocks (2^16 rows), and arbitrary ones
+_COUNTS = st.lists(st.sampled_from([1, 2, 8191, 8192, 8193, 65535, 65536, 65537])
                    | st.integers(1, 3000), min_size=1, max_size=5)
 
 
@@ -247,57 +246,70 @@ def test_draws_equal_the_expressions_before(law, d, seed, stream, counts):
     # the in-place Rademacher sign and the column-wise Cauchy quotient give
     # the bytes of the np.where and broadcast expressions of the reference
     # cache, and draws in chunks give the bytes of one draw of their total
-    cache = cl.systems.IncrementCache((seed, 1), law, d)
-    chunks = [cache._draw(stream, count) for count in counts]
+    def draw(rng, count):
+        return cl.systems._draw(rng, law, d, np.empty((count, d)))
+
+    rng = np.random.default_rng((seed, 1, stream))
+    chunks = [draw(rng, count) for count in counts]
     assert [c.shape for c in chunks] == [(count, d) for count in counts]
     total = sum(counts)
-    once = cl.systems.IncrementCache((seed, 1), law, d)._draw(stream, total)
+    once = draw(np.random.default_rng((seed, 1, stream)), total)
     ref = RedrawingIncrementCache((seed, 1), law, d)._draw(stream, total)
     assert once.dtype == ref.dtype == np.float64
     assert np.concatenate(chunks).tobytes() == once.tobytes() == ref.tobytes()
 
 
-# a sweep's reads: from a start anywhere in either stream, blocks of any
-# length, each a gap away from the last (a negative gap overlaps it by a few
-# rows), forward or backward
-_SWEEP_READS = st.lists(st.tuples(st.integers(4, 3000), st.integers(-3, 4000)),
-                        min_size=1, max_size=10)
+@pytest.mark.parametrize("start", [0, -(1 << 18)])
+def test_a_sweep_draws_its_rows_and_at_most_a_mark_more_per_read(start, monkeypatch):
+    # a sweep draws the rows it skips to reach its start, its own rows, and
+    # per block its lookahead, the row past the block and at most MARK rows
+    # up from a mark, counted without a clock. The memo changes no byte, and it
+    # keeps only the latest 64 streams
+    sy = cl.systems
+    drawn = []
+    draw = sy._draw
+
+    def counted(rng, law, d, out):
+        drawn.append(len(out))
+        return draw(rng, law, d, out)
+
+    monkeypatch.setattr(sy, "_draw", counted)
+    sysm = cl.iid_shift("gaussian", d=2, seed=4)
+    obs = cl.iid_increment("gaussian", 2)
+    st0 = cl.state_at(sysm, cl.sample_initial(sysm, 1), start)
+    N, BLOCK = 1 << 20, cl.engine.BLOCK
+    assert sy.MARK == cl.induce.BLOCK and BLOCK % sy.MARK == 0
+    sy._marks.cache_clear()
+    cold = cl.ergodic_sums(sysm, obs, st0, N, checkpoint_every=None).values
+    assert sum(drawn) <= abs(start) + N + -(-N // BLOCK) * (obs.lookahead + 1 + sy.MARK)
+    warm = cl.ergodic_sums(sysm, obs, st0, N, checkpoint_every=None).values
+    assert warm.tobytes() == cold.tobytes()
+    for seed in range(100):
+        sy.increments((seed, 7), "rademacher", 2, -3, 3)
+    assert sy._marks.cache_info().currsize <= 64
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(cl.systems.LAWS + ("words",)), st.integers(1, 3),
-       st.integers(0, 2**32), st.integers(-5000, 5000), _SWEEP_READS, st.booleans())
-def test_a_sweep_cache_holds_one_read_and_restarts_behind_it(law, d, seed, start, reads,
-                                                             backward):
-    # a sweep's reads give the bytes of a fresh cache's. In the stream whose
-    # draws the sweep reads in order, from its second read there it keeps
-    # about one read; a read below the rows it kept draws the stream again
-    # from the key and still gives the fresh cache's bytes
-    if law == "words":              # the doubling map's digits: forward only
-        d, start, backward = 1, abs(start), False
-
-    def fresh(lo, hi):
-        return cl.systems.IncrementCache((seed, 1), law, d).get(lo, hi).tobytes()
-
-    sweep = cl.systems.IncrementCache((seed, 1), law, d)
-    up = 1 if backward else 0
-    edge, longest, reads_up = start, 0, 0
-    for length, gap in reads:
-        lo, hi = (edge - gap - length, edge - gap) if backward else \
-            (edge + gap, edge + gap + length)
-        if law == "words":
-            lo = max(lo, 0)
-        assert sweep.get(lo, hi).tobytes() == fresh(lo, hi)
-        longest = max(longest, hi - lo + 1)
-        reads_up += bool(lo < 0 if up else hi >= 0)
-        if reads_up >= 2:
-            assert len(sweep._rows[up]) <= longest + 1028
-        edge = lo if backward else hi
-    if reads_up >= 2 and sweep._base[up] > 0:
-        i = sweep._base[up] - 1                  # the last draw it dropped
-        behind = (-1 - i, -1 - i) if up else (i, i)
-        assert sweep.get(*behind).tobytes() == fresh(*behind)
-        assert sweep._base[up] == 0              # the stream starts again
+def test_concurrent_reads_of_a_cold_stream_give_its_bytes():
+    # threads that read one stream from a cold memo, each in its own order,
+    # save the same marks and read the bytes of a single reader
+    sy = cl.systems
+    key, law, d = (3, 8), "rademacher", 2
+    spans = [(lo, lo + 5000) for lo in range(-60_000, 60_000, 7919)]
+    want = [sy.increments(key, law, d, lo, hi).tobytes() for lo, hi in spans]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            sy._marks.cache_clear()
+            with ThreadPoolExecutor(6) as pool:
+                orders = [(spans[k:] + spans[:k])[::(-1) ** k] for k in range(6)]
+                futures = [pool.submit(lambda o: {s: sy.increments(key, law, d, *s).tobytes()
+                                                  for s in o}, o) for o in orders]
+                for future in futures:
+                    got = future.result(timeout=60)
+                    assert [got[s] for s in spans] == want
+    finally:
+        sys.setswitchinterval(switch)
 
 
 @pytest.mark.parametrize("index", [200_000, -200_000])
@@ -311,7 +323,7 @@ def test_sweeps_from_either_side_of_the_origin(index):
     N = 150_000
 
     def fresh(lo, hi):
-        return cl.systems.increment_cache(sysm, st0).get(lo, hi)
+        return cl.systems.increments(st0.traj_key, "gaussian", 2, lo, hi)
 
     for sums, inc in ((cl.ergodic_sums, fresh(index, index + N - 1)),
                       (cl.reverse_sums, -fresh(index - N, index - 1)[::-1])):

@@ -16,13 +16,16 @@ Meshes: d=1 uses the two half-lines; d=2 uses K equal arcs (default
 """
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cones import ROWS, _true_norm
-from .engine import CocycleTrace, ergodic_sums
+from .engine import BLOCK, CocycleTrace, _check, _sweep
 from .errors import ConfigInvalid
 from .observables import ObservableSpec
 from .sojourn import dyadic_grid
@@ -97,9 +100,7 @@ class DirectionHistogram:
 
     @classmethod
     def empty(cls, mesh: SphereMesh, thresholds) -> "DirectionHistogram":
-        th = np.asarray(thresholds, dtype=np.float64)
-        if len(th) == 0 or not np.all(np.diff(th) > 0.0):
-            raise ConfigInvalid("thresholds", "thresholds must be strictly increasing")
+        th = _ladder(thresholds)
         z = np.zeros((len(th), mesh.K), dtype=np.int64)
         return cls(mesh, th, z.copy(), z.copy())
 
@@ -113,21 +114,37 @@ class DirectionHistogram:
             self.n_traces + other.n_traces, self.total_steps + other.total_steps)
 
 
-def _cells_and_norms(values: np.ndarray, mesh: SphereMesh):
+def _ladder(thresholds) -> np.ndarray:
+    # thresholds as a float64 array, refused unless strictly increasing
+    th = np.asarray(thresholds, dtype=np.float64)
+    if len(th) == 0 or not np.all(np.diff(th) > 0.0):
+        raise ConfigInvalid("thresholds", "thresholds must be strictly increasing")
+    return th
+
+
+def _compact(n: int, mesh: SphereMesh):
+    # room for n compact rows: a cell in the least unsigned type that holds
+    # K, and a float64 norm
+    return np.empty(n, dtype=np.min_scalar_type(mesh.K)), np.empty(n)
+
+
+def _cells_and_norms(values: np.ndarray, mesh: SphereMesh, known=None, out=None):
     # cell and norm of every row with a positive finite norm, ROWS rows at a
     # time so the temporaries stay in cache: 9 bytes a row for the 72-arc mesh;
     # a zero, NaN or infinite norm (an infinite coordinate, or a true norm
     # past the float64 range) gives no direction, so its row is dropped. A
     # block is divided by its norms a column at a time into the C-ordered U,
-    # which gives the bytes of one broadcast division without its cost
+    # which gives the bytes of one broadcast division without its cost.
+    # known, if given, holds the rows' _true_norm (a trace's cached norms);
+    # out, if given, is a (cells, norms) pair with room for every row, which
+    # the kept rows fill from its start
     n = len(values)
-    cells = np.empty(n, dtype=np.min_scalar_type(mesh.K))
-    norms = np.empty(n)
+    cells, norms = out or _compact(n, mesh)
     U = np.empty((min(n, ROWS), values.shape[1]))
     kept = 0
     for lo in range(0, n, ROWS):
         V = values[lo:lo + ROWS]
-        nrm = _true_norm(V)
+        nrm = _true_norm(V) if known is None else known[lo:lo + ROWS]
         nz = (nrm > 0.0) & (nrm < np.inf)
         if not nz.all():
             V, nrm = V[nz], nrm[nz]
@@ -141,25 +158,40 @@ def _cells_and_norms(values: np.ndarray, mesh: SphereMesh):
     return cells[:kept], norms[:kept]
 
 
-def _histogram(cells: np.ndarray, norms: np.ndarray, mesh: SphereMesh, thresholds,
-               steps: int) -> DirectionHistogram:
-    # one trajectory's histogram from its compact rows: each row is counted
-    # once, under the number of thresholds its norm exceeds, and the counts
-    # at threshold i are the rows that exceed more than i of them
-    h = DirectionHistogram.empty(mesh, thresholds)
-    m, K = len(h.thresholds), mesh.K
-    above = np.zeros((m + 1) * K, dtype=np.int64)
+def _count(above: np.ndarray, cells: np.ndarray, norms: np.ndarray, ladder) -> None:
+    # adds each row once into above, an (m+1, K) table, under the number of
+    # the m thresholds its norm exceeds; ROWS rows at a time, in buffers
+    # reused across blocks, with the rungs in the least type that holds m
+    flat, n = above.reshape(-1), min(len(cells), ROWS)
+    rungs, over = np.empty(n, np.min_scalar_type(len(ladder))), np.empty(n, bool)
+    index = np.empty(n, np.intp)
     for lo in range(0, len(cells), ROWS):
         nrm = norms[lo:lo + ROWS]
-        rung = np.zeros(len(nrm), dtype=np.intp)
-        for M in h.thresholds:
-            rung += nrm > M
-        above += np.bincount(rung * K + cells[lo:lo + ROWS], minlength=(m + 1) * K)
-    h.counts = np.cumsum(above.reshape(m + 1, K)[:0:-1], axis=0)[::-1].copy()
-    h.visited_traces = (h.counts > 0).astype(np.int64)
-    h.n_traces = 1
-    h.total_steps = steps
-    return h
+        rung, gt, at = rungs[:len(nrm)], over[:len(nrm)], index[:len(nrm)]
+        rung[...] = 0
+        for M in ladder:
+            np.greater(nrm, M, out=gt)
+            np.add(rung, gt, out=rung)
+        np.multiply(rung, above.shape[1], out=at, dtype=np.intp)
+        np.add(at, cells[lo:lo + ROWS], out=at)
+        flat += np.bincount(at, minlength=len(flat))
+
+
+def _from_table(above: np.ndarray, mesh: SphereMesh, ladder: np.ndarray,
+                steps: int) -> DirectionHistogram:
+    # one trajectory's histogram from its _count table: the counts at
+    # threshold i are the rows that exceed more than i of them
+    counts = np.cumsum(above[:0:-1], axis=0)[::-1].copy()
+    return DirectionHistogram(mesh, ladder, counts, (counts > 0).astype(np.int64), 1, steps)
+
+
+def _histogram(cells: np.ndarray, norms: np.ndarray, mesh: SphereMesh, thresholds,
+               steps: int) -> DirectionHistogram:
+    # one trajectory's histogram from its compact rows
+    ladder = _ladder(thresholds)
+    above = np.zeros((len(ladder) + 1, mesh.K), dtype=np.int64)
+    _count(above, cells, norms, ladder)
+    return _from_table(above, mesh, ladder, steps)
 
 
 def hist_from_values(values: np.ndarray, mesh: SphereMesh,
@@ -175,7 +207,10 @@ def hist_from_values(values: np.ndarray, mesh: SphereMesh,
 
 def hist_from_trace(trace: CocycleTrace, mesh: SphereMesh,
                     thresholds) -> DirectionHistogram:
-    return hist_from_values(trace.values[1:], mesh, thresholds)
+    """`hist_from_values` of S_1 .. S_N, with the trace's cached norms."""
+    values = trace.values[1:]
+    rows = _cells_and_norms(values, mesh, known=trace.norms[1:])
+    return _histogram(*rows, mesh, thresholds, len(values))
 
 
 def cell_max_norms(values: np.ndarray, mesh: SphereMesh) -> np.ndarray:
@@ -251,35 +286,74 @@ def antipodal_closure(mesh: SphereMesh, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan_seed(system: SystemSpec, obs: ObservableSpec, seed, N: int,
-               mesh: SphereMesh):
-    # a fresh trace's terminal norm and compact rows; the trace is dropped on return
-    tr = ergodic_sums(system, obs, sample_initial(system, seed), N, checkpoint_every=None)
-    return _true_norm(tr.values[-1]), _cells_and_norms(tr.values[1:], mesh)
+def _scan_seed(system: SystemSpec, obs: ObservableSpec, seed, N: int, mesh: SphereMesh,
+               ladder: np.ndarray | None, rows):
+    # one seed's sweep folded block by block, with no trace kept. Without a
+    # ladder, rows is a compact pair with room for N rows, which the blocks'
+    # rows fill from its start; with one, each block's rows go into one
+    # block-sized pair and are counted into the seed's histogram at once.
+    # Returns the terminal norm ||S_N|| and the number of rows kept, or the
+    # histogram
+    if ladder is not None:
+        rows = _compact(min(N, BLOCK), mesh)
+        above = np.zeros((len(ladder) + 1, mesh.K), dtype=np.int64)
+    cells, norms = rows
+    last, kept = np.zeros(obs.d), 0
+    for _, S, _ in _sweep(system, obs, sample_initial(system, seed), N, 1):
+        c, r = _cells_and_norms(S, mesh, out=(cells[kept:], norms[kept:]))
+        if ladder is None:
+            kept += len(c)
+        else:
+            _count(above, c, r, ladder)
+        last = S[-1]
+    if ladder is None:
+        return _true_norm(last), kept
+    return _true_norm(last), _from_table(above, mesh, ladder, N)
 
 
 def direction_scan(system: SystemSpec, obs: ObservableSpec, N: int, seeds,
                    mesh: SphereMesh | None = None, thresholds=None,
                    quorum: float = 0.9):
-    """End-to-end estimate over fresh trajectories, one trace per seed.
+    """End-to-end estimate over fresh trajectories, one sweep per seed.
 
-    When thresholds are omitted, the ladder is scaled to the median
+    No trace is built: each seed's sums are folded block by block. Seeds
+    run side by side on min(len(seeds), os.cpu_count()) threads, each in a
+    copy of the caller's context (numpy's error state included), and are
+    merged in seed order, so the result does not depend on the worker
+    count. Explicit thresholds count each block at once, in block-sized
+    memory. When they are omitted, the ladder is scaled to the median
     terminal norm (reported in the histogram): each seed's compact
     (cell, norm) rows, about 9 bytes a step, are kept until every
-    terminal norm is known. Explicit thresholds fold each seed at once.
-    Returns (estimate, per_seed_terminal_norms).
+    terminal norm is known. Returns (estimate, per_seed_terminal_norms).
     """
     seeds = list(seeds)
     if not seeds:
         raise ConfigInvalid("seeds", "a direction scan needs at least one seed")
+    _check(system, obs, N)
     mesh = mesh or make_mesh(obs.d)
-    scans = (_scan_seed(system, obs, s, N, mesh) for s in seeds)
-    if thresholds is None:
-        scans = list(scans)
-        thresholds = default_m_ladder(float(np.median([t for t, _ in scans])))
-    terms, hist = [], None
-    for term, rows in scans:
-        terms.append(term)
-        h = _histogram(*rows, mesh, thresholds, N)
-        hist = h if hist is None else hist.merge(h)
-    return direction_set_estimate(hist, quorum), np.array(terms)
+    ladder = None if thresholds is None else _ladder(thresholds)
+    rows = [_compact(N, mesh) if ladder is None else None for _ in seeds]
+    from concurrent.futures import ThreadPoolExecutor   # here, so the CLI's import stays light
+    pool = ThreadPoolExecutor(max_workers=min(len(seeds), os.cpu_count() or 1))
+    try:
+        scans = _map(pool, _scan_seed, [(system, obs, s, N, mesh, ladder, r)
+                                        for s, r in zip(seeds, rows)])
+        terms = np.array([term for term, _ in scans])
+        if ladder is None:
+            ladder = default_m_ladder(float(np.median(terms)))
+            hists = _map(pool, _histogram, [(c[:k], n[:k], mesh, ladder, N)
+                                            for (c, n), (_, k) in zip(rows, scans)])
+        else:
+            hists = [h for _, h in scans]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return direction_set_estimate(functools.reduce(DirectionHistogram.merge, hists),
+                                  quorum), terms
+
+
+def _map(pool, fn, calls) -> list:
+    # fn(*args) for each args in calls, on the pool, each in its own copy of
+    # the caller's context (numpy's error state is a context variable);
+    # results in the order of calls
+    tasks = [pool.submit(contextvars.copy_context().run, fn, *args) for args in calls]
+    return [t.result() for t in tasks]

@@ -14,6 +14,10 @@ added before rounding to float64, which keeps indicator-heavy sums well
 inside the 1e-9 identity tolerances at N = 10^6. On a lattice both
 routes give the exact sums, so they write the same bytes.
 
+One block loop, `_sweep`, yields each block's sums in turn: a trace
+writes them into its own rows, and a fold that keeps no trace (the
+direction scan) reads them from one reused block buffer.
+
 Checkpoints record the orbit state every `checkpoint_every` steps so a
 second pass can restart mid-orbit without O(N) storage per restart;
 `checkpoint_every=None` stores none, for bulk statistics.
@@ -24,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import _true_norm
-from .errors import MissingCheckpoint, NotInvertible
+from .cones import ROWS, _true_norm
+from .errors import ConfigInvalid, MissingCheckpoint, NotInvertible
 from .observables import ObservableSpec
 from .systems import SystemSpec, SystemState, orbit_span, state_in_span
 
@@ -52,8 +56,13 @@ class CocycleTrace:
 
     @property
     def norms(self) -> np.ndarray:
+        # ||S_n|| for n = 0..N, taken once, ROWS rows at a time so the
+        # temporaries stay in cache; _true_norm works row by row, so the
+        # blocks give the bytes of one whole-array call
         if self._norms is None:
-            self._norms = _true_norm(self.values)
+            self._norms = np.empty(len(self.values))
+            for lo in range(0, len(self.values), ROWS):
+                self._norms[lo:lo + ROWS] = _true_norm(self.values[lo:lo + ROWS])
         return self._norms
 
     def state_at_step(self, n: int) -> SystemState:
@@ -80,11 +89,14 @@ def _accumulate(phi: np.ndarray, carry: np.ndarray, out: np.ndarray,
     # the new carry. exact: the sums are lattice sums within the bound, so a
     # float64 cumsum and the carry, converted without rounding, are exact.
     # The carry goes in column by column, as a scalar: a broadcast add over
-    # rows of d = 2 or 3 takes about three times as long
+    # rows of d = 2 or 3 takes about three times as long. The longdouble
+    # cumsum runs in place in its one copy of phi: the values of a cumsum into
+    # a second array, in half the memory
     if exact:
         s, carry = np.cumsum(phi, axis=0, out=out), carry.astype(np.float64)
     else:
-        s = np.cumsum(phi.astype(np.longdouble), axis=0)
+        s = phi.astype(np.longdouble)
+        np.cumsum(s, axis=0, out=s)
     for j, c in enumerate(carry):
         s[:, j] += c
     if not exact:
@@ -99,13 +111,21 @@ def _grid(lo: int, hi: int, every: int | None) -> range:
     return range(-(-lo // every) * every, hi + 1, every)
 
 
-def _sweep(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
-           checkpoint_every: int | None, sign: int) -> tuple[np.ndarray, dict]:
-    # the block loop of both directions: step k adds phi(T^{k-1} x) for sign +1
-    # and -phi(T^{-k} x) for sign -1; checkpoints are keyed by the signed step
+def _check(system: SystemSpec, obs: ObservableSpec, N: int) -> None:
+    # the config errors of a sweep of N steps, raised before anything is allocated
+    if N < 0:
+        raise ConfigInvalid("N", f"a sweep needs N >= 0 steps, got {N}")
     obs.validate_for(system)
-    values = np.zeros((N + 1, obs.d))
-    checkpoints: dict = {}
+
+
+def _sweep(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
+           sign: int, values: np.ndarray | None = None):
+    # the one block loop of both directions: step k adds phi(T^{k-1} x) for
+    # sign +1 and -phi(T^{-k} x) for sign -1. Yields (done, S, data) per block:
+    # S holds S_{done+1} .. S_m, written into values[done+1:m+1], or, when
+    # values is None, into one (BLOCK, d) buffer that the next block reuses;
+    # data is the orbit span the block read. The caller runs _check first
+    buf = np.empty((min(N, BLOCK), obs.d)) if values is None else None
     carry = np.zeros(obs.d, dtype=np.longdouble)
     # forward, row hi+1 must exist for on-grid checkpoints
     ext = max(1, obs.lookahead) if sign > 0 else obs.lookahead
@@ -114,9 +134,19 @@ def _sweep(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
         lo, hi = (done, m - 1) if sign > 0 else (-m, -done - 1)
         data = orbit_span(system, state0, lo, hi + ext)
         phi = obs.evaluate(data, lo, hi)
-        carry = _accumulate(phi if sign > 0 else -phi[::-1], carry,
-                            values[done + 1:m + 1], _exact(obs, m))
-        for k in _grid(done + 1, m, checkpoint_every):
+        S = values[done + 1:m + 1] if buf is None else buf[:m - done]
+        carry = _accumulate(phi if sign > 0 else -phi[::-1], carry, S, _exact(obs, m))
+        yield done, S, data
+
+
+def _trace(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
+           checkpoint_every: int | None, sign: int) -> tuple[np.ndarray, dict]:
+    # the (N+1, d) sums of a sweep and its checkpoints, keyed by the signed step
+    _check(system, obs, N)
+    values = np.zeros((N + 1, obs.d))
+    checkpoints: dict = {}
+    for done, S, data in _sweep(system, obs, state0, N, sign, values):
+        for k in _grid(done + 1, done + len(S), checkpoint_every):
             checkpoints[sign * k] = state_in_span(state0, data, sign * k)
     return values, checkpoints
 
@@ -124,7 +154,7 @@ def _sweep(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
 def ergodic_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
                  N: int, checkpoint_every: int | None = 1024) -> CocycleTrace:
     """Trace of S_n = sum_{k<n} phi(T^k x) for n = 0..N."""
-    values, checkpoints = _sweep(system, obs, state0, N, checkpoint_every, 1)
+    values, checkpoints = _trace(system, obs, state0, N, checkpoint_every, 1)
     return CocycleTrace(system, obs, state0, N, values, checkpoints, checkpoint_every)
 
 
@@ -155,6 +185,6 @@ def reverse_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
     """
     if not system.invertible:
         raise NotInvertible("reverse sums need an invertible system")
-    values, checkpoints = _sweep(system, obs, state0, N, checkpoint_every, -1)
+    values, checkpoints = _trace(system, obs, state0, N, checkpoint_every, -1)
     return CocycleTrace(system, obs, state0, N, values, checkpoints,
                         checkpoint_every, direction=-1)

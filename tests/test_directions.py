@@ -1,5 +1,8 @@
 """Direction histograms over norm thresholds and recurrence heuristics."""
 
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 import cocyclelab as cl
 from cocyclelab import directions as dr
 from cocyclelab.cones import ROWS, _norm, _true_norm
+from cocyclelab.engine import BLOCK
 
 
 def rademacher_trace(sys_seed: int, init_seed: int, n: int) -> cl.CocycleTrace:
@@ -78,6 +82,23 @@ def test_nesting_and_exact_totals():
         if i:
             assert np.all(h.counts[i] <= h.counts[i - 1])
             assert not np.any((h.counts[i] > 0) & ~(h.counts[i - 1] > 0))
+
+
+def test_hist_from_trace_equals_hist_from_values():
+    # the trace's cached norms, taken once in blocks, give the bytes of the
+    # rows' own norms: zero rows, rows whose squares overflow and infinite
+    # rows, across kernel-block edges
+    tr = rademacher_trace(3, 3, 2 * ROWS + 5)
+    tr.values[[5, ROWS, ROWS + 1]] = 0.0
+    tr.values[ROWS - 2:ROWS + 3] = np.ldexp(tr.values[ROWS - 2:ROWS + 3], 700)
+    tr.values[2 * ROWS, 1] = -np.inf
+    tr.values[7] = np.inf
+    assert tr.norms.tobytes() == _true_norm(tr.values).tobytes()
+    mesh = dr.make_mesh(2)
+    for lad in ([0.5], [5.0, 20.0, 60.0], [1.0, 1e200, 1e300]):
+        got = dr.hist_from_trace(tr, mesh, lad)
+        assert same_histogram(got, dr.hist_from_values(tr.values[1:], mesh, lad))
+    assert got.counts[1].sum() > 0 and got.counts[2].sum() == 0
 
 
 def test_histogram_merge_is_monoidal():
@@ -176,6 +197,15 @@ def test_ladder_must_increase_strictly(ladder):
     # the number of rungs below its norm, which needs an increasing ladder
     with pytest.raises(cl.ConfigInvalid):
         dr.hist_from_values(np.ones((3, 2)), dr.make_mesh(2), ladder)
+
+
+def test_a_ladder_past_255_rungs_counts_like_the_kernel_before():
+    # rows above more than 255 of 300 thresholds: the rungs outgrow uint8
+    values = walk_values("gaussian", 2, 3, 2 * ROWS + 5)
+    mesh, ladder = dr.make_mesh(2), np.geomspace(0.5, 400.0, 300)
+    got = dr.hist_from_values(values, mesh, ladder)
+    assert same_histogram(got, hist_from_values_before(values, mesh, ladder))
+    assert got.counts[255:].sum() > 0
 
 
 def test_antipodal_closure():
@@ -332,50 +362,62 @@ def test_blocked_kernel_equals_the_kernel_before(law, d, seed, n, data):
     assert dr.cell_max_norms(values, mesh).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("law, d", [("cauchy", 2), ("rademacher", 1), ("gaussian", 3)])
-def test_one_pass_scan_equals_the_two_pass_scan(law, d):
-    sysm = cl.iid_shift(law, d=d, seed=60 + d)
-    obs = cl.iid_increment(law, d)
+@pytest.mark.parametrize("law, d", [("cauchy", 2), ("rademacher", 1), ("gaussian", 3),
+                                    ("rotation", 2)])
+def test_one_pass_scan_equals_the_two_pass_scan(monkeypatch, law, d):
+    # block and kernel-block edges, one seed and five, and one worker or one
+    # per seed: the folded, threaded scan writes the bytes of the two-pass
+    # scan. The rotation's [frac-0.5,sin2pi(frac)] takes the longdouble route
+    if law == "rotation":
+        sysm, obs = cl.rotation("golden", seed=62), cl.parse_observable("[frac-0.5,sin2pi(frac)]")
+    else:
+        sysm, obs = cl.iid_shift(law, d=d, seed=60 + d), cl.iid_increment(law, d)
     mesh = dr.make_mesh(d, 72 if d == 2 else 30)
-    for thresholds in (None, np.array([5.0, 40.0])):
-        est, terms = cl.direction_scan(sysm, obs, 2 * ROWS + 5, range(5), mesh, thresholds)
-        want, want_terms = direction_scan_before(sysm, obs, 2 * ROWS + 5, range(5), mesh,
-                                                 thresholds)
-        assert same_histogram(est.histogram, want.histogram)
-        assert est.cells.tobytes() == want.cells.tobytes()
-        assert terms.tobytes() == want_terms.tobytes()
+    for N in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * ROWS + 5):
+        for seeds in (range(1), range(5)):
+            for thresholds in (None, np.array([5.0, 40.0])):
+                want, want_terms = direction_scan_before(sysm, obs, N, seeds, mesh,
+                                                         thresholds)
+                for cpus in (1, 8):
+                    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+                    est, terms = cl.direction_scan(sysm, obs, N, seeds, mesh, thresholds)
+                    assert same_histogram(est.histogram, want.histogram)
+                    assert est.cells.tobytes() == want.cells.tobytes()
+                    assert terms.tobytes() == want_terms.tobytes()
 
 
-def test_direction_scan_builds_one_trace_per_seed(monkeypatch):
-    real, built = dr.ergodic_sums, []
+def test_direction_scan_sweeps_once_per_seed(monkeypatch):
+    # on a cold memo the scan draws exactly the rows of one ergodic_sums per seed
+    real, drawn = cl.systems._draw, []
 
-    def counted(*args, **kwargs):
-        built.append(args[2].traj_key)
-        return real(*args, **kwargs)
+    def counted(rng, law, d, out):
+        drawn.append(len(out))
+        return real(rng, law, d, out)
 
-    monkeypatch.setattr(dr, "ergodic_sums", counted)
-    sysm = cl.iid_shift("cauchy", d=2, seed=7)
-    cl.direction_scan(sysm, cl.iid_increment("cauchy", 2), 3000, [0, 1, 2])
-    assert sorted(built) == [(7, 0), (7, 1), (7, 2)]
+    monkeypatch.setattr(cl.systems, "_draw", counted)
+    sysm, obs = cl.iid_shift("cauchy", d=2, seed=7), cl.iid_increment("cauchy", 2)
+    N = 3 * BLOCK + 5
+    cl.systems._marks.cache_clear()
+    cl.direction_scan(sysm, obs, N, [0, 1, 2])
+    scan = sum(drawn)
+    drawn.clear()
+    cl.systems._marks.cache_clear()
+    for s in (0, 1, 2):
+        cl.ergodic_sums(sysm, obs, cl.sample_initial(sysm, s), N, checkpoint_every=None)
+    assert scan == sum(drawn) >= 3 * N
 
 
-def test_direction_scan_keeps_terminal_norms_whose_squares_overflow(monkeypatch):
-    # every row scaled by 2^700 (terminal norms near 1e212): the terminal
-    # norms, the default ladder and the histogram are those of the unscaled
-    # walks, times 2^700 where they are norms
+def test_direction_scan_keeps_terminal_norms_whose_squares_overflow():
+    # every increment scaled by 2^700 = 5.260135901548374e+210 (terminal norms
+    # near 1e212), so every sum stays exact: the terminal norms, the default
+    # ladder and the histogram are those of the unscaled walks, times 2^700
+    # where they are norms
     sysm = cl.iid_shift("rademacher", d=2, seed=4)
     obs = cl.iid_increment("rademacher", 2)
     est, terms = cl.direction_scan(sysm, obs, 3000, [0, 1, 2])
-    real = dr.ergodic_sums
-
-    def scaled(*args, **kwargs):
-        tr = real(*args, **kwargs)
-        tr.values = np.ldexp(tr.values, 700)
-        return tr
-
-    monkeypatch.setattr(dr, "ergodic_sums", scaled)
+    scaled = cl.parse_observable("iid(rademacher,d=2)*5.260135901548374e+210")
     with np.errstate(over="raise"):
-        big, big_terms = cl.direction_scan(sysm, obs, 3000, [0, 1, 2])
+        big, big_terms = cl.direction_scan(sysm, scaled, 3000, [0, 1, 2])
     assert big_terms.tobytes() == np.ldexp(terms, 700).tobytes()
     assert big.histogram.thresholds.tobytes() == \
         np.ldexp(est.histogram.thresholds, 700).tobytes()
@@ -406,13 +448,97 @@ def test_histogram_kernel_memory_per_row():
 
 def test_direction_scan_rejects_an_empty_seed_list(monkeypatch):
     built = []
-    monkeypatch.setattr(dr, "ergodic_sums", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(dr, "_sweep", lambda *a, **k: built.append(a) or iter(()))
     sysm = cl.iid_shift("cauchy", d=2, seed=7)
     for thresholds in (None, [1.0, 2.0]):
         with pytest.raises(cl.ConfigInvalid) as e:
             cl.direction_scan(sysm, cl.iid_increment("cauchy", 2), 100, [], thresholds=thresholds)
         assert e.value.field == "seeds"
     assert built == []
+
+
+def test_direction_scan_rejects_a_negative_N():
+    # N = 0 gives an empty histogram with explicit thresholds, and no ladder
+    # scale (every terminal norm is 0) without them
+    sysm, obs = cl.iid_shift("cauchy", d=2, seed=7), cl.iid_increment("cauchy", 2)
+    for thresholds in (None, [1.0]):
+        with pytest.raises(cl.ConfigInvalid) as e:
+            cl.direction_scan(sysm, obs, -1, [1, 2], thresholds=thresholds)
+        assert e.value.field == "N"
+    est, terms = cl.direction_scan(sysm, obs, 0, [1, 2], thresholds=[1.0])
+    assert est.histogram.counts.tolist() == [[0] * 72] and est.cells.size == 0
+    assert (est.histogram.n_traces, est.histogram.total_steps) == (2, 0)
+    assert terms.tolist() == [0.0, 0.0]
+    with pytest.raises(cl.ConfigInvalid) as e:
+        cl.direction_scan(sysm, obs, 0, [1, 2])
+    assert e.value.field == "thresholds"
+
+
+def scan_peak(N, thresholds):
+    sysm = cl.iid_shift("cauchy", d=2, seed=11)
+    return traced_peak(lambda: cl.direction_scan(sysm, cl.iid_increment("cauchy", 2), N,
+                                                 [0, 1], thresholds=thresholds))
+
+
+# The scans below run on one worker: with two, the peak moves by up to a
+# block's temporaries with how the threads' block peaks line up.
+
+def test_direction_scan_with_thresholds_holds_no_rows(monkeypatch):
+    # each block is counted at once: the peak does not grow with N (the
+    # scan over whole traces read 11.3 MB at 2^18 steps and 17.8 MB at 2^19)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    lad = [10.0, 1000.0]
+    small = scan_peak(1 << 18, lad)
+    assert scan_peak(1 << 19, lad) <= 1.2 * small
+
+
+def test_direction_scan_keeps_nine_bytes_a_step(monkeypatch):
+    # the automatic ladder keeps each seed's compact rows, a uint8 cell and a
+    # float64 norm a step, and nothing else of length N (the scan over whole
+    # traces kept about 13 bytes a step)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    small = scan_peak(1 << 18, None)
+    assert (scan_peak(1 << 19, None) - small) / ((1 << 18) * 2) <= 10
+
+
+def test_direction_scan_workers_share_the_callers_error_state(monkeypatch):
+    # each seed runs in a copy of the caller's context, on a pool that is
+    # gone when the scan returns
+    real, seen = dr._sweep, []
+
+    def recorded(*args):
+        seen.append((np.geterr(), threading.current_thread() is threading.main_thread()))
+        return real(*args)
+
+    monkeypatch.setattr(dr, "_sweep", recorded)
+    sysm = cl.iid_shift("gaussian", d=2, seed=3)
+    before = threading.active_count()
+    with np.errstate(over="raise", invalid="ignore"):
+        want = np.geterr()
+        cl.direction_scan(sysm, cl.iid_increment("gaussian", 2), 5000, range(4))
+    assert threading.active_count() == before
+    assert seen == [(want, False)] * 4
+    assert want["over"] == "raise" and np.geterr() != want
+
+
+def test_threads_on_shared_streams_keep_the_serial_bytes(monkeypatch):
+    # repeated seeds read one stream's memo of generator states from several
+    # threads at once, on a cold memo, with more workers than cores and a
+    # short switch interval: a lost or misplaced mark would move the bytes
+    sysm, obs = cl.iid_shift("gaussian", d=2, seed=13), cl.iid_increment("gaussian", 2)
+    seeds, N = [0, 1, 0, 1, 0, 1, 0, 1], 3 * cl.systems.MARK + 5
+    want, want_terms = direction_scan_before(sysm, obs, N, seeds)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            cl.systems._marks.cache_clear()
+            est, terms = cl.direction_scan(sysm, obs, N, seeds)
+            assert same_histogram(est.histogram, want.histogram)
+            assert terms.tobytes() == want_terms.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

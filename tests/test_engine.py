@@ -142,6 +142,16 @@ def test_coboundary_sums_stay_bounded():
     assert np.max(tr.norms) <= 2.0 + 1e-12
 
 
+def test_negative_N_is_a_config_error():
+    sysm = cl.rotation("golden", seed=3)
+    st0 = cl.sample_initial(sysm, 1)
+    for sums in (cl.ergodic_sums, cl.reverse_sums):
+        with pytest.raises(cl.ConfigInvalid) as err:
+            sums(sysm, half_obs(), st0, -3)
+        assert err.value.field == "N"
+        assert sums(sysm, half_obs(), st0, 0).values.tolist() == [[0.0]]
+
+
 def test_checkpoints_match_direct_states():
     sysm = cl.cat_map()
     st0 = cl.sample_initial(sysm, 6)

@@ -3,7 +3,7 @@ limit directions, the running-minimum scheme, and cone-sojourn statistics,
 with a Brownian oracle for the diffusive comparisons."""
 
 from .errors import (CapExceeded, CocycleLabError, ConfigInvalid,
-                     MismatchError, MissingCheckpoint, NotInvertible)
+                     MismatchError, NotInvertible)
 from .systems import (SystemSpec, SystemState, cat_map, doubling, iid_shift,
                       orbit_span, parse_system, rotation, sample_initial,
                       state_at, step, step_back)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded", "CocycleLabError", "ConfigInvalid", "MismatchError",
-    "MissingCheckpoint", "NotInvertible",
+    "NotInvertible",
     "SystemSpec", "SystemState", "cat_map", "doubling", "iid_shift",
     "orbit_span", "parse_system", "rotation", "sample_initial", "state_at",
     "step", "step_back",

@@ -60,8 +60,7 @@ def _c1_chain_rule():
     worst = 0.0
     for system, obs in cases:
         for s in range(10):
-            tr = ergodic_sums(system, obs, sy.sample_initial(system, s), 2000,
-                              checkpoint_every=1)
+            tr = ergodic_sums(system, obs, sy.sample_initial(system, s), 2000)
             for _ in range(25):
                 n = int(rng.integers(0, 1001))
                 p = int(rng.integers(0, 1001))
@@ -80,7 +79,7 @@ def _c2_triangle():
     for system, obs, reps in cases:
         for s in range(reps):
             st = sy.sample_initial(system, 100 + s)
-            tr = ergodic_sums(system, obs, st, N, checkpoint_every=None)
+            tr = ergodic_sums(system, obs, st, N)
             n = rng.integers(0, N + 1, size=20_000)
             p = rng.integers(0, N + 1 - n)
             whole = _norm(tr.values[n + p])
@@ -94,8 +93,7 @@ def _c2_triangle():
 def _c3_telescoping_bound():
     system = sy.rotation("golden", seed=41)
     phi = coboundary_of(parse_observable("sin2pi(frac)"))
-    tr = ergodic_sums(system, phi, sy.sample_initial(system, 7), 1_000_000,
-                      checkpoint_every=None)
+    tr = ergodic_sums(system, phi, sy.sample_initial(system, 7), 1_000_000)
     sup = float(tr.norms.max())
     return sup <= 2.0 + 1e-9, {"sup_norm": round(sup, 6)}, "sup <= 2 + 1e-9 at N=1e6"
 
@@ -123,8 +121,7 @@ def _c5_sampling_identity():
     for system, obs, B in cases:
         st = ind.first_entry(system, B, sy.sample_initial(system, 3), 10_000)
         it = ind.induced_trace(system, obs, B, st, per, cap=100_000)
-        full = ergodic_sums(system, obs, st, int(it.return_times[-1]),
-                            checkpoint_every=None)
+        full = ergodic_sums(system, obs, st, int(it.return_times[-1]))
         gap = np.abs(full.values[it.return_times] - it.values[1:]).max()
         worst = max(worst, float(gap))
     return worst <= 1e-12, {"max_gap": f"{worst:.2e}"}, "gap <= 1e-12, 1002 samples"
@@ -139,7 +136,7 @@ def _c6_min_recursion():
         for s in range(reps):
             st = sy.sample_initial(system, 200 + s)
             mp = fl.min_process(system, obs, st, 1000)
-            S = ergodic_sums(system, obs, st, 1000, checkpoint_every=None).values[:, 0]
+            S = ergodic_sums(system, obs, st, 1000).values[:, 0]
             direct = np.minimum.accumulate(S[1:])
             worst_gap = max(worst_gap, float(np.abs(mp.m[1:1001] - direct).max()))
             worst_res = max(worst_res, mp.decomposition_residual())
@@ -158,7 +155,7 @@ def _c7_drift_rates():
     n_seeds = 100
     for s in range(n_seeds):
         tr = ergodic_sums(system, centered, sy.sample_initial(system, 300 + s),
-                          1_000_000, checkpoint_every=None)
+                          1_000_000)
         rep = dr.recurrence_diagnostic(tr, 0.5)
         hits += rep.verdict == "recurrent-like"
     ok = (np.all((k1 >= 0.9) & (k1 <= 1.1)) and np.abs(k2).max() <= 0.01
@@ -175,8 +172,7 @@ def _c8_gaussian_limits():
     reps = 2000
     ends = np.empty((reps, 2))
     for s in range(reps):
-        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), n,
-                          checkpoint_every=None)
+        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), n)
         ends[s] = tr.values[n]
     ends /= np.sqrt(n)
     ks = max(br.ks_statistic(ends[:, j], br.normal_cdf) for j in (0, 1))
@@ -206,8 +202,7 @@ def _c9_full_coverage():
     full = 0
     cells_seen = []
     for s in range(n_seeds):
-        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
-                          checkpoint_every=None)
+        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N)
         h = dr.hist_from_trace(tr, mesh, [M])
         k = int((h.counts[0] > 0).sum())
         cells_seen.append(k)
@@ -227,8 +222,7 @@ def _c10_antipodal_coverage():
     terms = np.empty(n_seeds)
     tops = np.empty((n_seeds, mesh.K))
     for s in range(n_seeds):
-        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
-                          checkpoint_every=None)
+        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N)
         terms[s] = _true_norm(tr.values[-1])
         tops[s] = dr.cell_max_norms(tr.values[1:], mesh)
     # the ladder needs every terminal norm; the per-cell maxima answer each rung
@@ -272,8 +266,7 @@ def _c14_sojourn_extremes():
     n_seeds = 100
     joint = 0
     for s in range(n_seeds):
-        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
-                          checkpoint_every=None)
+        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N)
         ser = so.sojourn_series(tr, cone)
         joint += (ser.running_max >= 0.9) and (ser.running_min <= 0.1)
     joint_rate = joint / n_seeds
@@ -283,8 +276,7 @@ def _c14_sojourn_extremes():
     n = 10_000
     tau_walk = np.empty(reps)
     for s in range(reps):
-        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), n,
-                          checkpoint_every=None)
+        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), n)
         tau_walk[s] = so.tau(tr, n, cone)
     brown = br.tau_samples(cone, 1.0, 1e-3, reps, seed=14)
     ks = br.ks_2samp_statistic(tau_walk, brown)
@@ -299,8 +291,7 @@ def _c15_ball_escape():
     n_seeds = 50
     vals = np.empty(n_seeds)
     for s in range(n_seeds):
-        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N,
-                          checkpoint_every=None)
+        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N)
         vals[s] = so.ball_visit_frequency(tr, N, 10.0)
     rate = float((vals <= 0.05).mean())
     return rate >= 0.9, {"rate": rate, "max_freq": f"{vals.max():.4f}"}, \
@@ -313,8 +304,7 @@ def _c16_grid_vs_path():
     n = 10_000
     worst = 0.0
     for s in range(50):
-        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), n,
-                          checkpoint_every=None)
+        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), n)
         worst = max(worst, abs(so.tau(tr, n, cone) - so.tau_discrete(tr, n, cone)))
     return worst <= 0.02, {"max_diff": round(worst, 4)}, "|tau - tau_disc| <= 0.02, 50 seeds"
 

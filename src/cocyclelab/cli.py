@@ -311,9 +311,8 @@ def _op_trace(cfg: dict, fp: str) -> int:
     N = int(_param(cfg, "N", required=True))
     ce = int(_param(cfg, "checkpoint_every", 1024))
     seed = cfg["seed"]
-    # nothing here reads checkpoints; the summary still echoes the setting
-    tr = ergodic_sums(system, obs, sy.sample_initial(system, seed), N,
-                      checkpoint_every=None)
+    # traces store no orbit states; the summary still echoes the setting
+    tr = ergodic_sums(system, obs, sy.sample_initial(system, seed), N)
     csv_path, sum_path = _resolve_out(cfg, "trace.csv")
     header = ["seed", "fingerprint", "n"] + [f"phi_{j}" for j in range(obs.d)] + ["norm"]
     cols = [seed, fp, np.arange(1, N + 1), *tr.values[1:].T, tr.norms[1:]]
@@ -350,7 +349,7 @@ def _dir_task(payload: dict):
     system = sy.parse_system(payload["system"])
     obs = parse_observable(payload["observable"])
     tr = ergodic_sums(system, obs, sy.sample_initial(system, payload["seed"]),
-                      payload["N"], checkpoint_every=None)
+                      payload["N"])
     mesh = dr.make_mesh(obs.d)
     h = dr.hist_from_trace(tr, mesh, payload["thresholds"])
     verdict = (dr.recurrence_diagnostic(tr, payload["epsilon"]).verdict
@@ -453,7 +452,7 @@ def _sojourn_task(payload: dict):
     obs = parse_observable(payload["observable"])
     cone = parse_cone(payload["cone"], obs.d)
     tr = ergodic_sums(system, obs, sy.sample_initial(system, payload["seed"]),
-                      payload["N"], checkpoint_every=None)
+                      payload["N"])
     ser = so.sojourn_series(tr, cone, grid=payload["grid"])
     # one ball pass up to the top horizon; each horizon takes a prefix mean
     top = int(ser.ns.max())

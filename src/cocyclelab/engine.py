@@ -18,9 +18,9 @@ One block loop, `_sweep`, yields each block's sums in turn: a trace
 writes them into its own rows, and a fold that keeps no trace (the
 direction scan) reads them from one reused block buffer.
 
-Checkpoints record the orbit state every `checkpoint_every` steps so a
-second pass can restart mid-orbit without O(N) storage per restart;
-`checkpoint_every=None` stores none, for bulk statistics.
+A trace stores no orbit states. States are plain values and increments a
+pure function of (key, index), so `state_at` reaches any step directly: the
+identity check restarts its second pass there, at any n.
 """
 from __future__ import annotations
 
@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import ROWS, _true_norm
-from .errors import ConfigInvalid, MissingCheckpoint, NotInvertible
+from .errors import ConfigInvalid, NotInvertible
 from .observables import ObservableSpec
-from .systems import SystemSpec, SystemState, orbit_span, state_in_span
+from .systems import SystemSpec, SystemState, orbit_span, state_at
 
 BLOCK = 1 << 16
 
@@ -45,8 +45,6 @@ class CocycleTrace:
     state0: SystemState
     N: int
     values: np.ndarray                     # (N+1, d), values[n] = S_n, values[0] = 0
-    checkpoints: dict = field(default_factory=dict)   # step -> SystemState
-    checkpoint_every: int | None = 1024
     direction: int = 1                     # -1 for reverse traces
     _norms: np.ndarray | None = field(default=None, repr=False)
 
@@ -65,16 +63,10 @@ class CocycleTrace:
                 self._norms[lo:lo + ROWS] = _true_norm(self.values[lo:lo + ROWS])
         return self._norms
 
-    def state_at_step(self, n: int) -> SystemState:
-        """Orbit state at step n; n must sit on the checkpoint grid."""
-        if n == 0:
-            return self.state0
-        st = self.checkpoints.get(self.direction * n)
-        if st is None:
-            grid = (f"every {self.checkpoint_every}" if self.checkpoint_every
-                    else "none stored")
-            raise MissingCheckpoint(f"step {n} not on the checkpoint grid ({grid})")
-        return st
+    @property
+    def checkpoints(self) -> dict:
+        # compatibility: older callers read checkpoints; a trace stores none
+        return {}
 
 
 def _exact(obs: ObservableSpec, n: int) -> bool:
@@ -104,13 +96,6 @@ def _accumulate(phi: np.ndarray, carry: np.ndarray, out: np.ndarray,
     return s[-1].astype(np.longdouble)
 
 
-def _grid(lo: int, hi: int, every: int | None) -> range:
-    # multiples of `every` in [lo, hi]; none when every is None
-    if every is None:
-        return range(0)
-    return range(-(-lo // every) * every, hi + 1, every)
-
-
 def _check(system: SystemSpec, obs: ObservableSpec, N: int) -> None:
     # the config errors of a sweep of N steps, raised before anything is allocated
     if N < 0:
@@ -121,53 +106,50 @@ def _check(system: SystemSpec, obs: ObservableSpec, N: int) -> None:
 def _sweep(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
            sign: int, values: np.ndarray | None = None):
     # the one block loop of both directions: step k adds phi(T^{k-1} x) for
-    # sign +1 and -phi(T^{-k} x) for sign -1. Yields (done, S, data) per block:
-    # S holds S_{done+1} .. S_m, written into values[done+1:m+1], or, when
-    # values is None, into one (BLOCK, d) buffer that the next block reuses;
-    # data is the orbit span the block read. The caller runs _check first
+    # sign +1 and -phi(T^{-k} x) for sign -1. Yields S per block: S_{done+1}
+    # .. S_m, written into values[done+1:m+1], or, when values is None, into
+    # one (BLOCK, d) buffer that the next block reuses. The caller runs _check first
     buf = np.empty((min(N, BLOCK), obs.d)) if values is None else None
     carry = np.zeros(obs.d, dtype=np.longdouble)
-    # forward, row hi+1 must exist for on-grid checkpoints
-    ext = max(1, obs.lookahead) if sign > 0 else obs.lookahead
     for done in range(0, N, BLOCK):
         m = min(done + BLOCK, N)   # this block covers steps done+1 .. m
         lo, hi = (done, m - 1) if sign > 0 else (-m, -done - 1)
-        data = orbit_span(system, state0, lo, hi + ext)
-        phi = obs.evaluate(data, lo, hi)
+        phi = obs.evaluate(orbit_span(system, state0, lo, hi + obs.lookahead), lo, hi)
         S = values[done + 1:m + 1] if buf is None else buf[:m - done]
         carry = _accumulate(phi if sign > 0 else -phi[::-1], carry, S, _exact(obs, m))
-        yield done, S, data
+        yield S
 
 
 def _trace(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
-           checkpoint_every: int | None, sign: int) -> tuple[np.ndarray, dict]:
-    # the (N+1, d) sums of a sweep and its checkpoints, keyed by the signed step
+           sign: int) -> np.ndarray:
+    # the (N+1, d) sums of a sweep
     _check(system, obs, N)
     values = np.zeros((N + 1, obs.d))
-    checkpoints: dict = {}
-    for done, S, data in _sweep(system, obs, state0, N, sign, values):
-        for k in _grid(done + 1, done + len(S), checkpoint_every):
-            checkpoints[sign * k] = state_in_span(state0, data, sign * k)
-    return values, checkpoints
+    for _ in _sweep(system, obs, state0, N, sign, values):
+        pass
+    return values
 
 
 def ergodic_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
-                 N: int, checkpoint_every: int | None = 1024) -> CocycleTrace:
-    """Trace of S_n = sum_{k<n} phi(T^k x) for n = 0..N."""
-    values, checkpoints = _trace(system, obs, state0, N, checkpoint_every, 1)
-    return CocycleTrace(system, obs, state0, N, values, checkpoints, checkpoint_every)
+                 N: int, checkpoint_every: int | None = None) -> CocycleTrace:
+    """Trace of S_n = sum_{k<n} phi(T^k x) for n = 0..N.
+
+    checkpoint_every is accepted for older callers and ignored.
+    """
+    return CocycleTrace(system, obs, state0, N, _trace(system, obs, state0, N, 1))
 
 
 def cocycle_identity_check(trace: CocycleTrace, n: int, p: int) -> float:
     """Residual of S_{n+p}(x) = S_n(x) + S_p(T^n x), second pass from step n.
 
-    Raises MissingCheckpoint when n is off the checkpoint grid.
+    On a reverse trace, of R_{n+p}(x) = R_n(x) + R_p(T^{-n} x). Needs
+    0 <= n, p and n + p <= N.
     """
-    if n + p > trace.N:
-        raise ValueError("n + p exceeds the trace length")
-    st = trace.state_at_step(n)
-    fresh = ergodic_sums(trace.system, trace.obs, st, p,
-                         checkpoint_every=None).values[p]
+    if min(n, p) < 0 or n + p > trace.N:
+        raise ValueError(f"need 0 <= n, p and n + p <= N = {trace.N}, got n={n}, p={p}")
+    sums = ergodic_sums if trace.direction > 0 else reverse_sums
+    st = state_at(trace.system, trace.state0, trace.direction * n)
+    fresh = sums(trace.system, trace.obs, st, p).values[p]
     return float(np.linalg.norm(trace.values[n + p] - trace.values[n] - fresh))
 
 
@@ -178,13 +160,13 @@ def evaluate_at(system: SystemSpec, obs: ObservableSpec, state: SystemState) -> 
 
 
 def reverse_sums(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
-                 N: int, checkpoint_every: int | None = 1024) -> CocycleTrace:
+                 N: int, checkpoint_every: int | None = None) -> CocycleTrace:
     """Reverse trace R_n = -sum_{k=1..n} phi(T^{-k} x) for n = 0..N.
 
     Satisfies R_n(T^n x) = -S_n(x). Invertible systems only.
+    checkpoint_every is accepted for older callers and ignored.
     """
     if not system.invertible:
         raise NotInvertible("reverse sums need an invertible system")
-    values, checkpoints = _trace(system, obs, state0, N, checkpoint_every, -1)
-    return CocycleTrace(system, obs, state0, N, values, checkpoints,
-                        checkpoint_every, direction=-1)
+    return CocycleTrace(system, obs, state0, N, _trace(system, obs, state0, N, -1),
+                        direction=-1)

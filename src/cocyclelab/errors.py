@@ -24,10 +24,6 @@ class CapExceeded(CocycleLabError):
         return type(self), (self.cap, str(self))
 
 
-class MissingCheckpoint(CocycleLabError):
-    """Identity check requested at a step that is not on the checkpoint grid."""
-
-
 class MismatchError(CocycleLabError):
     """Two independent computations of the same quantity disagree."""
 

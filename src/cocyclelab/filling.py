@@ -51,7 +51,9 @@ def min_process(system: SystemSpec, obs: ObservableSpec, state0: SystemState,
                 N: int) -> MinProcess:
     """Min process through n = N+1, cross-checked by two routes."""
     _require_scalar(obs)
-    S = ergodic_sums(system, obs, state0, N + 1, checkpoint_every=None).values[:, 0]
+    if N < 1:
+        raise ConfigInvalid("N", f"the min process needs N >= 1, got {N}")
+    S = ergodic_sums(system, obs, state0, N + 1).values[:, 0]
     m = np.empty(N + 2)
     m[0] = np.nan
     m[1:] = np.minimum.accumulate(S[1:])
@@ -103,10 +105,12 @@ def classify_oscillation(system: SystemSpec, obs: ObservableSpec, seeds,
                          N: int, level: float | None = None) -> OscillationReport:
     """Majority growth label across seeds."""
     _require_scalar(obs)
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigInvalid("seeds", "need at least one seed")
     labels = []
     for s in seeds:
-        tr = ergodic_sums(system, obs, sample_initial(system, s), N,
-                          checkpoint_every=None)
+        tr = ergodic_sums(system, obs, sample_initial(system, s), N)
         labels.append(classify_series(tr.values[:, 0], level))
     order = ["to+inf", "to-inf", "oscillates", "inconclusive"]
     verdict = max(order, key=labels.count)
@@ -120,11 +124,12 @@ def kesten_rate(system: SystemSpec, obs: ObservableSpec, seeds,
     Positive for sums drifting to +inf; near zero for recurrent sums.
     """
     _require_scalar(obs)
+    if N < 1:
+        raise ConfigInvalid("N", f"the Kesten rate needs N >= 1, got {N}")
     seeds = list(seeds)
     out = np.empty(len(seeds))
     for i, s in enumerate(seeds):
-        tr = ergodic_sums(system, obs, sample_initial(system, s), N,
-                          checkpoint_every=None)
+        tr = ergodic_sums(system, obs, sample_initial(system, s), N)
         ratio = tr.values[1:, 0] / np.arange(1, N + 1)
         mins = [ratio[lo - 1:2 * lo - 1].min() for lo in dyadic_grid(N)]
         half = len(mins) // 2

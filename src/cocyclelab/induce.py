@@ -203,6 +203,10 @@ def kac_statistic(system: SystemSpec, B: SetSpec, n_returns: int, seeds,
     """
     B.validate_for(system)
     seeds = list(seeds)
+    if not seeds:
+        raise ConfigInvalid("seeds", "need at least one seed")
+    if n_returns < 1:
+        raise ConfigInvalid("returns", f"need at least one return, got {n_returns}")
     per_seed = np.empty(len(seeds))
     for i, s in enumerate(seeds):
         st = first_entry(system, B, sample_initial(system, s), cap)

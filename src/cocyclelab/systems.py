@@ -166,7 +166,8 @@ def _stream(seed: tuple, law: str, d: int, a: int, b: int) -> np.ndarray:
 
 
 def increments(key: tuple, law: str, d: int, lo: int, hi: int) -> np.ndarray:
-    """Realized draws at absolute indices lo..hi inclusive, as a fresh (n, d) array.
+    """Realized draws at absolute indices lo..hi inclusive, as a fresh (n, d) array;
+    a read wholly below 0 is a row-reversed view of one.
 
     A pure function of (key, law, d, index). Index i >= 0 is draw i of the
     stream keyed ``(*key, 0)``, or ``(*key, 2)`` for the doubling map's
@@ -182,7 +183,7 @@ def increments(key: tuple, law: str, d: int, lo: int, hi: int) -> np.ndarray:
         if lo >= 0:
             return fwd
     bwd = _stream((*key, 1), law, d, -1 - min(hi, -1), -lo)[::-1]
-    return np.ascontiguousarray(bwd) if fwd is None else np.concatenate([bwd, fwd])
+    return bwd if fwd is None else np.concatenate([bwd, fwd])
 
 
 @dataclass(frozen=True)
@@ -295,20 +296,14 @@ def orbit_span(system: SystemSpec, state: SystemState, lo: int, hi: int) -> Orbi
     return OrbitData(lo, hi, None, inc)
 
 
-def state_in_span(state: SystemState, data: OrbitData, k: int) -> SystemState:
-    """The state k steps from ``state``, read from row k of a span of its orbit."""
-    coords = None if data.positions is None else data.positions[k - data.lo].copy()
-    return replace(state, index=state.index + k, coords=coords)
-
-
 def state_at(system: SystemSpec, state: SystemState, k: int) -> SystemState:
     """The state k steps ahead of ``state`` (k may be negative if invertible)."""
     if k == 0:
         return state
-    if system.position_dim is None:
-        # the shift has no position: moving the index draws no increments
-        return replace(state, index=state.index + k)
-    return state_in_span(state, orbit_span(system, state, k, k), k)
+    # the shift has no position: moving the index draws no increments
+    coords = None if system.position_dim is None else \
+        orbit_span(system, state, k, k).positions[0]
+    return replace(state, index=state.index + k, coords=coords)
 
 
 def step(system: SystemSpec, state: SystemState) -> SystemState:

@@ -208,9 +208,9 @@ def test_schema_rejects_unknown_fields(tmp_path, capsys):
 
 @pytest.mark.parametrize("err", [
     errors.ConfigInvalid("grid", "x"), errors.CapExceeded(5), errors.CapExceeded(7, "late"),
-    errors.NotInvertible("no"), errors.MissingCheckpoint("gone"), errors.MismatchError("off"),
+    errors.NotInvertible("no"), errors.MismatchError("off"),
 ], ids=["ConfigInvalid", "CapExceeded", "CapExceeded-message", "NotInvertible",
-        "MissingCheckpoint", "MismatchError"])
+        "MismatchError"])
 def test_errors_survive_pickling(err):
     # a pooled task hands its error back to the parent by pickle
     back = pickle.loads(pickle.dumps(err))
@@ -275,21 +275,11 @@ def test_flags_without_config_file(tmp_path):
     assert len(rows) == 7
 
 
-def test_trace_builds_no_checkpoints(tmp_path, monkeypatch):
-    # the CSV never reads orbit states, so none are stored; the summary
-    # still echoes the configured grid
-    traces = []
-
-    def kept(*args, **kwargs):
-        traces.append(cocyclelab.ergodic_sums(*args, **kwargs))
-        return traces[-1]
-
-    monkeypatch.setattr(cli, "ergodic_sums", kept)
+def test_trace_builds_no_checkpoints(tmp_path):
+    # traces store no orbit states; the summary still echoes the setting
     out = tmp_path / "cp"
     assert cli.main(["trace", "--system", "rotation:golden", "--obs", "frac-0.5",
                      "--N", "3000", "--checkpoint-every", "1", "--out", str(out)]) == 0
-    tr, = traces
-    assert tr.checkpoints == {} and tr.checkpoint_every is None
     assert json.loads((out / "summary.json").read_text())["checkpoint_every"] == 1
 
 

@@ -1,8 +1,7 @@
-"""Partial-sum engine: additivity, reverse sums, checkpoints."""
+"""Partial-sum engine: additivity, reverse sums, restarts at any step."""
 
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 import cocyclelab as cl
 from cocyclelab import engine as eng
-from cocyclelab.systems import SystemSpec, SystemState
 
 
 def rot_state(x: float) -> cl.SystemState:
@@ -48,8 +46,7 @@ def test_iid_sums_equal_increment_resummation():
 
 
 def test_additivity_small_rotation():
-    tr = cl.ergodic_sums(cl.rotation("sqrt2m1"), half_obs(), rot_state(0.0), 10,
-                         checkpoint_every=1)
+    tr = cl.ergodic_sums(cl.rotation("sqrt2m1"), half_obs(), rot_state(0.0), 10)
     assert cl.cocycle_identity_check(tr, 1, 2) <= 1e-12
 
 
@@ -152,53 +149,70 @@ def test_negative_N_is_a_config_error():
         assert sums(sysm, half_obs(), st0, 0).values.tolist() == [[0.0]]
 
 
-def test_checkpoints_match_direct_states():
-    sysm = cl.cat_map()
-    st0 = cl.sample_initial(sysm, 6)
-    tr = cl.ergodic_sums(sysm, cl.parse_observable("frac-0.5"), st0, 100,
-                         checkpoint_every=16)
-    direct = cl.state_at(sysm, st0, 32)
-    assert np.all(np.abs(tr.state_at_step(32).coords - direct.coords) <= 1e-12)
-    with pytest.raises(cl.MissingCheckpoint):
-        tr.state_at_step(33)
-
-
 @pytest.mark.parametrize("sysm, obs", [
     (cl.iid_shift("rademacher", d=2, seed=8), cl.iid_increment("rademacher", 2)),
     (cl.doubling(seed=8), half_obs()),
 ], ids=["iid-shift", "doubling"])
 def test_a_kept_trace_keeps_no_increment_cache(sysm, obs):
     # the sweep reads its draws as a pure function of the key and the index;
-    # the trace's state0 and its checkpoints are plain values that hold no
-    # rows, and a restart from a checkpoint reads the same draws
+    # the trace's state0 is a plain value that holds no rows, and a restart
+    # from state_at reads the same draws
     st0 = cl.sample_initial(sysm, 3)
-    tr = cl.ergodic_sums(sysm, obs, st0, 2 * eng.BLOCK + 5, checkpoint_every=4096)
+    tr = cl.ergodic_sums(sysm, obs, st0, 2 * eng.BLOCK + 5)
     assert tr.state0 is st0
-    for state in (tr.state0, *tr.checkpoints.values()):
-        assert vars(state).keys() == {"index", "coords", "origin", "traj_key"}
-        assert state.traj_key == st0.traj_key
+    assert vars(st0).keys() == {"index", "coords", "origin", "traj_key"}
     assert cl.cocycle_identity_check(tr, 4096 * 5, eng.BLOCK) == 0.0
 
 
 def test_a_restart_stores_no_checkpoint(monkeypatch):
-    # the second pass of the identity check reads only its last row, so it
-    # keeps no checkpoint even on a checkpoint-every-step trace
+    # the second pass of the identity check goes through the public entry
+    # point of the trace's own direction, and its trace, like every trace,
+    # holds no checkpoints (the benchmark's tracer counts them)
     sysm = cl.cat_map(seed=2)
     obs = cl.parse_observable("frac-0.5")
-    tr = cl.ergodic_sums(sysm, obs, cl.sample_initial(sysm, 4), 600, checkpoint_every=1)
-    real, restarts = eng.ergodic_sums, []
+    for sums in ("ergodic_sums", "reverse_sums"):
+        tr = getattr(cl, sums)(sysm, obs, cl.sample_initial(sysm, 4), 600)
+        real, restarts = getattr(eng, sums), []
 
-    def recorded(*args, **kwargs):
-        restarts.append(real(*args, **kwargs))
-        return restarts[-1]
+        def recorded(*args, **kwargs):
+            restarts.append(real(*args, **kwargs))
+            return restarts[-1]
 
-    monkeypatch.setattr(eng, "ergodic_sums", recorded)
-    for n, p in ((1, 1), (37, 400), (300, 300)):
-        res = cl.cocycle_identity_check(tr, n, p)
-        kept = real(sysm, obs, tr.state_at_step(n), p, checkpoint_every=1)
-        want = tr.values[n + p] - tr.values[n] - kept.values[p]
-        assert res == float(np.linalg.norm(want))
-    assert len(restarts) == 3 and all(r.checkpoints == {} for r in restarts)
+        monkeypatch.setattr(eng, sums, recorded)
+        for n, p in ((1, 1), (37, 400), (300, 300)):
+            res = cl.cocycle_identity_check(tr, n, p)
+            kept = real(sysm, obs, cl.state_at(sysm, tr.state0, tr.direction * n), p)
+            want = tr.values[n + p] - tr.values[n] - kept.values[p]
+            assert res == float(np.linalg.norm(want))
+        assert len(restarts) == 3 and all(len(r.checkpoints) == 0 for r in restarts)
+        assert len(tr.checkpoints) == 0
+
+
+@pytest.mark.parametrize("system, text", [
+    (cl.rotation("golden", seed=7), "indicator(0.0,0.5)-0.5"),
+    (cl.iid_shift("rademacher", d=2, seed=7), "iid(rademacher, d=2)"),
+    (cl.cat_map(seed=7), "[indicator(0.0,0.5)-0.5, 2*indicator(0.25,0.75)-1]"),
+], ids=["rotation", "iid-shift", "cat-map"])
+def test_reverse_traces_satisfy_the_reverse_identity(system, text):
+    # R_{n+p}(x) = R_n(x) + R_p(T^{-n} x): the fresh pass runs backwards from
+    # T^{-n} x. Lattice sums are exact, so the residual is 0.0 at n, p on
+    # either side of block edges (a forward fresh pass read 1.0, 11.7 and
+    # 55.5 here at n = 1024, p = 1000)
+    obs = cl.parse_observable(text)
+    assert eng._exact(obs, 3 * eng.BLOCK)
+    tr = cl.reverse_sums(system, obs, cl.sample_initial(system, 2), 2 * eng.BLOCK + 2)
+    for n, p in ((1024, 1000), (eng.BLOCK - 1, 2), (1, eng.BLOCK), (eng.BLOCK + 1, eng.BLOCK + 1),
+                 (0, 2 * eng.BLOCK + 2), (2 * eng.BLOCK + 2, 0)):
+        assert cl.cocycle_identity_check(tr, n, p) == 0.0, (n, p)
+
+
+def test_identity_check_refuses_steps_outside_the_trace():
+    # a negative n or p would read values[-k]; it fails as n + p > N does
+    tr = cl.ergodic_sums(cl.rotation("golden"), half_obs(), rot_state(0.2), 50)
+    for n, p in ((30, 21), (-1, 5), (5, -1), (-3, 40)):
+        with pytest.raises(ValueError, match="n \\+ p <= N = 50"):
+            cl.cocycle_identity_check(tr, n, p)
+    assert cl.cocycle_identity_check(tr, 0, 50) == 0.0
 
 
 def test_a_planar_walk_holds_its_values_and_one_block():
@@ -252,11 +266,34 @@ def test_a_far_start_sweep_holds_no_draws_below_its_start(law):
                 assert far < 4 * 2**20
 
 
+def test_a_sweep_below_the_origin_peaks_as_one_above_it():
+    # rows below the origin are a stream read backwards, handed on as a
+    # reversed view and not copied: with a warm memo, 2^16 steps from -2^22
+    # peak within 10% of 2^16 steps from +2^22 (the copy read 3.0 MB
+    # against 2.0)
+    sysm = cl.iid_shift("rademacher", d=2, seed=6)
+    obs = cl.iid_increment("rademacher", 2)
+    origin = cl.sample_initial(sysm, 2)
+
+    def peak(start):
+        st0 = cl.state_at(sysm, origin, start)
+        cl.ergodic_sums(sysm, obs, st0, 1 << 16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cl.ergodic_sums(sysm, obs, st0, 1 << 16)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(-(1 << 22)) <= 1.1 * peak(1 << 22)
+
+
 _PROP_TRACE = cl.ergodic_sums(
     cl.iid_shift("rademacher", d=2, seed=21),
     cl.iid_increment("rademacher", 2),
     cl.sample_initial(cl.iid_shift("rademacher", d=2, seed=21), 0),
-    1800, checkpoint_every=1)
+    1800)
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,35 +302,11 @@ def test_additivity_property(n, p):
     assert cl.cocycle_identity_check(_PROP_TRACE, n, p) <= 1e-9
 
 
-def test_none_stores_no_checkpoints():
-    sysm = cl.rotation("golden", seed=3)
-    st0 = cl.sample_initial(sysm, 1)
-    bare = cl.ergodic_sums(sysm, half_obs(), st0, 3000, checkpoint_every=None)
-    huge = cl.ergodic_sums(sysm, half_obs(), st0, 3000, checkpoint_every=1 << 62)
-    assert bare.checkpoints == {} and huge.checkpoints == {}
-    assert np.array_equal(bare.values, huge.values)
-    back = cl.reverse_sums(sysm, half_obs(), st0, 3000, checkpoint_every=None)
-    assert back.checkpoints == {}
-    with pytest.raises(cl.MissingCheckpoint):
-        bare.state_at_step(1024)
-
-
 # Forward and reverse sums share one block loop. These are the two loops it
-# replaced, kept verbatim as the reference for values and checkpoints, with
-# the per-kind checkpoint builder they called.
+# replaced, kept as the reference for values.
 
-def _checkpoint_state(system: SystemSpec, state0: SystemState, data, k: int) -> SystemState:
-    # build the state at relative step k from an already computed span row;
-    # rows are bitwise identical to step() iteration, so restarts reproduce
-    if system.kind == "iid-shift":
-        return replace(state0, index=state0.index + k)
-    coords = data.positions[data.rows(k, k)][0].copy()
-    return replace(state0, index=state0.index + k, coords=coords)
-
-
-def separate_forward_loop(system, obs, state0, N, checkpoint_every):
+def separate_forward_loop(system, obs, state0, N):
     values = np.zeros((N + 1, obs.d))
-    checkpoints = {}
     carry = np.zeros(obs.d, dtype=np.longdouble)
     ext = max(1, obs.lookahead)
     off = 0
@@ -303,15 +316,12 @@ def separate_forward_loop(system, obs, state0, N, checkpoint_every):
         phi = obs.evaluate(data, off, hi)
         s = np.cumsum(phi.astype(np.longdouble), axis=0) + carry
         values[off + 1:hi + 2], carry = s.astype(np.float64), s[-1]
-        for k in eng._grid(off + 1, hi + 1, checkpoint_every):
-            checkpoints[k] = _checkpoint_state(system, state0, data, k)
         off = hi + 1
-    return values, checkpoints
+    return values
 
 
-def separate_reverse_loop(system, obs, state0, N, checkpoint_every):
+def separate_reverse_loop(system, obs, state0, N):
     values = np.zeros((N + 1, obs.d))
-    checkpoints = {}
     carry = np.zeros(obs.d, dtype=np.longdouble)
     done = 0
     while done < N:
@@ -320,16 +330,8 @@ def separate_reverse_loop(system, obs, state0, N, checkpoint_every):
         phi = obs.evaluate(data, -m, -done - 1)
         s = np.cumsum((-phi[::-1]).astype(np.longdouble), axis=0) + carry
         values[done + 1:m + 1], carry = s.astype(np.float64), s[-1]
-        for k in eng._grid(done + 1, m, checkpoint_every):
-            checkpoints[-k] = _checkpoint_state(system, state0, data, -k)
         done = m
-    return values, checkpoints
-
-
-def same_state(a, b):
-    return (a.index == b.index and a.origin == b.origin and a.traj_key == b.traj_key
-            and (a.coords is None) == (b.coords is None)
-            and (a.coords is None or a.coords.tobytes() == b.coords.tobytes()))
+    return values
 
 
 _GAUSS = cl.iid_shift("gaussian", d=2, seed=17)
@@ -343,15 +345,14 @@ _GAUSS = cl.iid_shift("gaussian", d=2, seed=17)
 ], ids=["rotation", "rotation-lookahead1", "gaussian"])
 @pytest.mark.parametrize("every", [None, 1000])
 def test_shared_block_loop_matches_separate_loops(system, obs, state0, every):
+    # checkpoint_every is accepted and ignored: it moves no byte
     N = 2 * eng.BLOCK + 3
     assert obs.lookahead == (1 if "cob" in obs.text else 0)
     for sums, loop in ((cl.ergodic_sums, separate_forward_loop),
                        (cl.reverse_sums, separate_reverse_loop)):
         tr = sums(system, obs, state0, N, checkpoint_every=every)
-        values, checkpoints = loop(system, obs, state0, N, every)
-        assert tr.values.tobytes() == values.tobytes()
-        assert list(tr.checkpoints) == list(checkpoints)
-        assert all(same_state(tr.checkpoints[k], checkpoints[k]) for k in checkpoints)
+        assert tr.values.tobytes() == loop(system, obs, state0, N).tobytes()
+        assert len(tr.checkpoints) == 0
 
 
 _KINDS = {
@@ -360,6 +361,24 @@ _KINDS = {
     "cat-map": (cl.cat_map(seed=4), cl.parse_observable("frac-0.5")),
     "iid-shift": (cl.iid_shift("rademacher", d=2, seed=4), cl.iid_increment("rademacher", 2)),
 }
+
+
+def test_a_restart_reaches_any_step():
+    # no grid of stored states: the check restarts at any n, off the
+    # multiples of 1024 and 4096 that checkpoints once sat on and on both
+    # sides of a block edge, in either direction; its residual is the one
+    # against a fresh sweep from state_at, taken in the trace's direction
+    p = eng.BLOCK + 3
+    for kind, (sysm, obs) in _KINDS.items():
+        state0 = cl.sample_initial(sysm, 5)
+        sweeps = [(cl.ergodic_sums, 1)] + ([(cl.reverse_sums, -1)] if sysm.invertible else [])
+        for sums, sign in sweeps:
+            tr = sums(sysm, obs, state0, 2 * eng.BLOCK + 4)
+            for n in (1, 1023, eng.BLOCK - 1, eng.BLOCK + 1):
+                fresh = sums(sysm, obs, cl.state_at(sysm, state0, sign * n), p)
+                want = np.linalg.norm(tr.values[n + p] - tr.values[n] - fresh.values[p])
+                got = cl.cocycle_identity_check(tr, n, p)
+                assert got == float(want) and got <= 1e-9, (kind, sign, n)
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
@@ -421,7 +440,7 @@ def _induce_set(system, N):
 def test_lattice_sums_match_the_longdouble_loops(name):
     system, text = {**_LATTICE, **_LONGDOUBLE}[name]
     obs = cl.parse_observable(text)
-    N, every = 3 * eng.BLOCK + 5, 4096
+    N = 3 * eng.BLOCK + 5
     assert eng._exact(obs, N) == (name in _LATTICE)
     if name == "past-the-bound":
         assert eng._exact(obs, 2) and not eng._exact(obs, 3)
@@ -430,11 +449,8 @@ def test_lattice_sums_match_the_longdouble_loops(name):
     if system.invertible:
         runs.append((cl.reverse_sums, separate_reverse_loop))
     for sums, loop in runs:
-        tr = sums(system, obs, state0, N, checkpoint_every=every)
-        values, checkpoints = loop(system, obs, state0, N, every)
-        assert tr.values.tobytes() == values.tobytes()
-        assert list(tr.checkpoints) == list(checkpoints)
-        assert all(same_state(tr.checkpoints[k], checkpoints[k]) for k in checkpoints)
+        tr = sums(system, obs, state0, N)
+        assert tr.values.tobytes() == loop(system, obs, state0, N).tobytes()
     if name == "negative-zero":          # phi is -0.0 off [0, 0.5), the sums +0.0
         zero = cl.evaluate_at(system, obs, rot_state(0.75))
         assert zero[0] == 0.0 and np.signbit(zero[0])
@@ -442,7 +458,7 @@ def test_lattice_sums_match_the_longdouble_loops(name):
     B, n_returns = _induce_set(system, N)
     start = cl.first_entry(system, B, state0, 1000)
     it = cl.induced_trace(system, obs, B, start, n_returns, 1000)
-    values, _ = separate_forward_loop(system, obs, start, int(it.return_times[-1]), None)
+    values = separate_forward_loop(system, obs, start, int(it.return_times[-1]))
     assert it.return_times[-1] > 2 * eng.BLOCK
     assert it.values[1:].tobytes() == values[it.return_times].tobytes()
 
@@ -451,8 +467,7 @@ def test_lattice_sums_match_the_longdouble_loops(name):
 def test_lattice_identity_residual_is_exactly_zero(name):
     system, text = _LATTICE[name]
     obs = cl.parse_observable(text)
-    tr = cl.ergodic_sums(system, obs, cl.sample_initial(system, 4), 3 * eng.BLOCK + 5,
-                         checkpoint_every=4096)
+    tr = cl.ergodic_sums(system, obs, cl.sample_initial(system, 4), 3 * eng.BLOCK + 5)
     for n, p in ((4096, eng.BLOCK), (15 * 4096, 4096), (16 * 4096, 2 * eng.BLOCK + 5),
                  (17 * 4096, eng.BLOCK + 1)):
         assert cl.cocycle_identity_check(tr, n, p) == 0.0
@@ -505,5 +520,5 @@ def test_sums_leave_the_float64_route_where_the_bound_fails(monkeypatch):
     it = cl.induced_trace(_ROT, obs, cl.interval(0.0, 1.0), state0, 4 * eng.BLOCK, 10)
     exact = (1 << 17) // cl.induce.BLOCK
     assert flags == [True] * exact + [False] * exact
-    values, _ = separate_forward_loop(_ROT, obs, state0, 4 * eng.BLOCK, None)
+    values = separate_forward_loop(_ROT, obs, state0, 4 * eng.BLOCK)
     assert it.values.tobytes() == values.tobytes()

@@ -65,6 +65,29 @@ def test_vector_observables_are_rejected():
                        cl.sample_initial(cl.iid_shift("gaussian", d=2), 0), 10)
 
 
+_ROT = cl.rotation("golden")
+_HALF = cl.centered_indicator(0.0, 0.5)
+_DEGENERATE = {
+    "classify-no-seeds": ("seeds", lambda: cl.classify_oscillation(_ROT, _HALF, [], 64)),
+    "kac-no-seeds": ("seeds", lambda: cl.kac_statistic(_ROT, cl.interval(0.0, 0.5), 10, [])),
+    "kac-no-returns": ("returns",
+                       lambda: cl.kac_statistic(_ROT, cl.interval(0.0, 0.5), 0, [1])),
+    "kesten-N0": ("N", lambda: cl.kesten_rate(_ROT, _HALF, [1], 0)),
+    "min-N-1": ("N", lambda: cl.min_process(_ROT, _HALF, rot_state(0.1), -1)),
+    "min-N0": ("N", lambda: cl.min_process(_ROT, _HALF, rot_state(0.1), 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE))
+def test_degenerate_inputs_are_config_errors(name):
+    # each once gave a verdict from no data, a nan, or an IndexError or
+    # ValueError from deep inside; now a typed error names the field
+    field, call = _DEGENERATE[name]
+    with pytest.raises(cl.ConfigInvalid) as err:
+        call()
+    assert err.value.field == field
+
+
 def test_classify_series_synthetic():
     assert cl.classify_series(0.1 * np.arange(2000.0)) == "to+inf"
     assert cl.classify_series(-0.1 * np.arange(2000.0)) == "to-inf"

@@ -73,8 +73,7 @@ def test_tau_scaling_is_bit_identical_for_halfspaces():
     tr = rademacher_trace(12, 500)
     base = cl.tau(tr, 500, HALF_PLANE)
     for c in (2.0, 4.0, 0.5, 1.0 / 64.0):
-        scaled = cl.CocycleTrace(tr.system, tr.obs, tr.state0, tr.N,
-                                 c * tr.values, {}, tr.checkpoint_every)
+        scaled = cl.CocycleTrace(tr.system, tr.obs, tr.state0, tr.N, c * tr.values)
         assert cl.tau(scaled, 500, HALF_PLANE) == base
 
 

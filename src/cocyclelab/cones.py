@@ -40,6 +40,13 @@ input, the layout every caller in the package passes, the screen moves
 no byte; other layouts may move the last bit of rows that take the
 closed form, since matmul rounds <P,u> by layout.
 
+`path_fractions` reads a walk: each point ends one segment and starts
+the next, so the screened kernels take its screen inputs (face heights,
+or the ball's norm) and its scale once, and a half-space its height. A
+row the screen decides gives its end's membership too (inside exactly
+when the segment is); only the ends of rows that take the closed form
+run `contains`.
+
 Membership is positively homogeneous. The angular closed forms square
 coordinates, so the angular cone first moves each nonzero row (a point,
 or a segment's two ends together) whose largest |coordinate| lies
@@ -73,6 +80,10 @@ class Cone:
 
     def complement(self) -> "Cone":
         return Complement(self)
+
+    def _path(self, V, known=None, ends=True):
+        # path_fractions of a path of two or more segments
+        return self.segment_fraction(V[:-1], V[1:]), self.contains(V[1:]) if ends else None
 
 
 def _norm(V) -> np.ndarray:
@@ -126,34 +137,75 @@ def _true_norm(V):
     return nrm[()]
 
 
+def _screened(kernel, P0, P1, g0, g1, m):
+    # one block: kernel._screen, from its inputs g0, g1 at the ends and the
+    # scale m, decides the rows on one side of the boundary throughout, where
+    # the closed form gives exactly 1.0 or 0.0; the rest, and rows of scale 0
+    # or outside BAND, take it. Returns the fractions, the rows decided
+    # inside and the rows that took the closed form
+    with np.errstate(over="ignore", invalid="ignore"):    # rows outside BAND
+        inside, outside = kernel._screen(P0, P1, g0, g1, m)
+    fr = inside.astype(np.float64)
+    i = np.flatnonzero(~((inside | outside) & (m >= BAND[0]) & (m <= BAND[1])))
+    if len(i) == 1 and len(P0) > 1:
+        # matmul rounds <P0,u> for a one-row array another way than for
+        # two or more (a tangent row of a Cauchy walk moved from 0.031 to
+        # 0.0), so a lone row runs beside a second row of its block.
+        # A column-wise dot product, as in _norm, would remove this
+        # dependence on layout, at the cost of moving bytes
+        i = np.array([0, i[0]] if i[0] else [0, 1])
+    if len(i):
+        fr[i] = kernel._fractions(P0[i], P1[i])
+    return fr, inside, i
+
+
 def _by_blocks(kernel, P0, P1) -> np.ndarray:
-    # kernel._fractions(P0, P1) in blocks of ROWS segments: temporaries scale
-    # with ROWS, not N. kernel._screen, unless None, first decides the rows
-    # that lie on one side of the boundary throughout, where the closed form
-    # gives exactly 1.0 or 0.0; only the rest, and rows of scale 0 or outside
-    # BAND, take it
+    # kernel._fractions(P0, P1) of independent segments, in blocks of ROWS
+    # segments (temporaries scale with ROWS, not N), through the screen
+    # unless kernel._screen is None
     out = np.empty(len(P0))
     for k in range(0, len(P0), ROWS):
         p0, p1 = P0[k:k + ROWS], P1[k:k + ROWS]
-        fr = out[k:k + ROWS]
         if kernel._screen is None:
-            fr[:] = kernel._fractions(p0, p1)
+            out[k:k + ROWS] = kernel._fractions(p0, p1)
             continue
-        m = _scale(p0, p1)
-        with np.errstate(over="ignore", invalid="ignore"):    # rows outside BAND
-            inside, outside = kernel._screen(p0, p1, m)
-        fr[:] = inside
-        i = np.flatnonzero(~((inside | outside) & (m >= BAND[0]) & (m <= BAND[1])))
-        if len(i) == 1 and len(p0) > 1:
-            # matmul rounds <P0,u> for a one-row array another way than for
-            # two or more (a tangent row of a Cauchy walk moved from 0.031 to
-            # 0.0), so a lone row runs beside a second row of its block.
-            # A column-wise dot product, as in _norm, would remove this
-            # dependence on layout, at the cost of moving bytes
-            i = np.array([0, i[0]] if i[0] else [0, 1])
-        if len(i):
-            fr[i] = kernel._fractions(p0[i], p1[i])
+        with np.errstate(over="ignore", invalid="ignore"):
+            g0, g1 = kernel._points(p0), kernel._points(p1)
+        out[k:k + ROWS] = _screened(kernel, p0, p1, g0, g1, _scale(p0, p1))[0]
     return out
+
+
+def _by_path(kernel, V, known=None, ends=True):
+    # path_fractions of a screened kernel in blocks of ROWS segments, whose
+    # points' screen inputs (or known's) and scales serve both sides. The
+    # ends of rows that took the closed form are tested beside the block's
+    # first point (a one-row matmul rounds another way)
+    n = len(V) - 1
+    fr, inside = np.empty(n), np.empty(n, dtype=bool) if ends else None
+    for lo in range(0, n, ROWS):
+        pts = V[lo:lo + ROWS + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = kernel._points(pts) if known is None else known[lo:lo + ROWS + 1]
+        m = _scale(pts)
+        fr[lo:lo + ROWS], ins, i = _screened(kernel, pts[:-1], pts[1:], g[..., :-1],
+                                             g[..., 1:], np.maximum(m[:-1], m[1:]))
+        if ends:
+            if len(i):
+                ins[i] = kernel.contains(pts[np.r_[0, i + 1]])[1:]
+            inside[lo:lo + ROWS] = ins
+    return fr, inside
+
+
+def path_fractions(kernel, V, known=None, ends=True):
+    """``kernel.segment_fraction(V[:-1], V[1:])`` and ``kernel.contains(V[1:])``
+    of a walk's points V, bytes included, in one pass over V.
+
+    kernel is a cone or a BallWindow; known may hold the ball's norms of V.
+    Without ends the caller needs no membership, which may then be None.
+    """
+    if len(V) == 2:     # one segment: matmul rounds a one-row array its own way
+        return kernel.segment_fraction(V[:1], V[1:]), kernel.contains(V[1:]) if ends else None
+    return kernel._path(V, known, ends)
 
 
 def _crossing_fraction(a0, a1) -> np.ndarray:
@@ -163,13 +215,13 @@ def _crossing_fraction(a0, a1) -> np.ndarray:
     return np.where(a0 > 0.0, t0, 1.0 - t0)
 
 
-def _faces(normals, P0, P1, tol):
-    # normals: (k, d) inward face normals of a convex cone. Both ends inside
-    # every face, or both beyond one face, by tol: the segment lies inside,
-    # or outside, throughout
-    A0, A1 = normals @ P0.T, normals @ P1.T                     # (k, n) each
+def _faces(A0, A1, tol):
+    # A0, A1: (k, n) heights of the segments' ends over the k faces of a
+    # convex cone, along the faces' inward normals. Both ends inside every
+    # face, or both beyond one face, by tol: the segment lies inside, or
+    # outside, throughout
     lo, hi = np.minimum(A0[0], A1[0]), np.maximum(A0[0], A1[0])
-    for j in range(1, len(normals)):
+    for j in range(1, len(A0)):
         np.minimum(lo, np.minimum(A0[j], A1[j]), out=lo)
         np.minimum(hi, np.maximum(A0[j], A1[j]), out=hi)
     return lo > tol, hi < -tol
@@ -198,8 +250,8 @@ class HalfSpace(Cone):
 
     def __init__(self, normal):
         u = np.asarray(normal, dtype=np.float64)
-        if u.ndim != 1 or not np.any(u != 0.0):
-            raise ConfigInvalid("cone", "half-space needs a nonzero normal")
+        if u.ndim != 1 or not np.any(u != 0.0) or not np.all(np.isfinite(u)):
+            raise ConfigInvalid("cone", "half-space needs a nonzero finite normal")
         self.normal = u
         self.d = len(u)
 
@@ -208,10 +260,19 @@ class HalfSpace(Cone):
 
     def segment_fraction(self, P0, P1):
         # np.dot gives the bytes @ gives, and is several times faster when d == 1
-        a0 = np.dot(P0, self.normal)
-        a1 = np.dot(P1, self.normal)
-        pos0 = a0 > 0.0
-        pos1 = a1 > 0.0
+        a0, a1 = np.dot(P0, self.normal), np.dot(P1, self.normal)
+        return self._above(a0, a1, a0 > 0.0, a1 > 0.0)
+
+    def _path(self, V, known=None, ends=True):
+        # one height and one side a point: a row of np.dot over two or more
+        # rows has the bytes it has over any other two or more
+        a = np.dot(V, self.normal)
+        pos = a > 0.0
+        return self._above(a[:-1], a[1:], pos[:-1], pos[1:]), pos[1:]
+
+    @staticmethod
+    def _above(a0, a1, pos0, pos1):
+        # fractions above 0 of segments with end heights a0, a1 (above 0 at pos)
         fr = pos1.astype(np.float64)
         i = np.flatnonzero(pos0 != pos1)
         fr[i] = _crossing_fraction(a0[i], a1[i])
@@ -256,8 +317,8 @@ class AngularCone(Cone):
     def __init__(self, axis, aperture: float):
         u = np.asarray(axis, dtype=np.float64)
         nrm = np.sqrt(u.ravel().dot(u.ravel()))
-        if u.ndim != 1 or nrm == 0.0:
-            raise ConfigInvalid("cone", "angular cone needs a nonzero axis")
+        if u.ndim != 1 or nrm == 0.0 or not np.all(np.isfinite(u)):
+            raise ConfigInvalid("cone", "angular cone needs a nonzero finite axis")
         if not 0.0 < aperture < 2.0:
             raise ConfigInvalid("cone", "aperture must lie in (0, 2)")
         self.axis = u / nrm
@@ -276,7 +337,7 @@ class AngularCone(Cone):
             w_perp = np.array([-w[1], w[0]])
             self._normals = np.stack([s * w - c * w_perp, s * w + c * w_perp])
         else:
-            self._screen = None         # _by_blocks: every row takes the closed form
+            self._screen = None         # every row takes the closed form
 
     def contains(self, V):
         (V,) = _into_band(np.asarray(V))
@@ -285,8 +346,15 @@ class AngularCone(Cone):
     def segment_fraction(self, P0, P1):
         return _by_blocks(self, P0, P1)
 
-    def _screen(self, P0, P1, m):
-        in_k, out_k = _faces(self._normals, P0, P1, MARGIN * m)
+    def _path(self, V, known=None, ends=True):
+        return (Cone._path if self._screen is None else _by_path)(self, V, ends=ends)
+
+    def _points(self, V):
+        # the screen's inputs: each point's heights over K's two faces
+        return self._normals @ V.T
+
+    def _screen(self, P0, P1, A0, A1, m):
+        in_k, out_k = _faces(A0, A1, MARGIN * m)
         return (in_k, out_k) if self._convex else (out_k, in_k)
 
     def _fractions(self, P0, P1):
@@ -328,6 +396,10 @@ class Complement(Cone):
     def segment_fraction(self, P0, P1):
         return 1.0 - self.inner.segment_fraction(P0, P1)
 
+    def _path(self, V, known=None, ends=True):
+        fr, inside = self.inner._path(V, ends=ends)
+        return 1.0 - fr, None if inside is None else ~inside
+
     def complement(self) -> Cone:
         return self.inner
 
@@ -336,8 +408,8 @@ class BallWindow:
     """Open ball {||v|| < M}; same kernel interface as cones (not a cone)."""
 
     def __init__(self, M: float):
-        if M <= 0.0:
-            raise ConfigInvalid("ball", "radius must be positive")
+        if not 0.0 < M < np.inf:
+            raise ConfigInvalid("ball", "radius must be positive and finite")
         self.M = float(M)
 
     def contains(self, V):
@@ -346,10 +418,12 @@ class BallWindow:
     def segment_fraction(self, P0, P1):
         return _by_blocks(self, P0, P1)
 
-    def _screen(self, P0, P1, m):
+    _path = _by_path
+    _points = staticmethod(_norm)           # the screen's inputs: each point's norm
+
+    def _screen(self, P0, P1, n0, n1, m):
         # both ends inside the convex ball, or both farther from the centre
         # than M plus the segment's length, by the relative MARGIN
-        n0, n1 = _norm(P0), _norm(P1)
         inside = np.maximum(n0, n1) * (1.0 + MARGIN) < self.M
         far = np.minimum(n0, n1) >= (self.M + _norm(P1 - P0)) * (1.0 + MARGIN)
         return inside, far

@@ -128,16 +128,17 @@ def _compact(n: int, mesh: SphereMesh):
     return np.empty(n, dtype=np.min_scalar_type(mesh.K)), np.empty(n)
 
 
-def _cells_and_norms(values: np.ndarray, mesh: SphereMesh, known=None, out=None):
+def _cells_and_norms(values: np.ndarray, mesh: SphereMesh, known=None, out=None,
+                     fill=None):
     # cell and norm of every row with a positive finite norm, ROWS rows at a
     # time so the temporaries stay in cache: 9 bytes a row for the 72-arc mesh;
     # a zero, NaN or infinite norm (an infinite coordinate, or a true norm
     # past the float64 range) gives no direction, so its row is dropped. A
     # block is divided by its norms a column at a time into the C-ordered U,
     # which gives the bytes of one broadcast division without its cost.
-    # known, if given, holds the rows' _true_norm (a trace's cached norms);
-    # out, if given, is a (cells, norms) pair with room for every row, which
-    # the kept rows fill from its start
+    # known, if given, holds the rows' _true_norm (a trace's cached norms),
+    # and fill, if given, receives them; out, if given, is a (cells, norms)
+    # pair with room for every row, which the kept rows fill from its start
     n = len(values)
     cells, norms = out or _compact(n, mesh)
     U = np.empty((min(n, ROWS), values.shape[1]))
@@ -145,6 +146,8 @@ def _cells_and_norms(values: np.ndarray, mesh: SphereMesh, known=None, out=None)
     for lo in range(0, n, ROWS):
         V = values[lo:lo + ROWS]
         nrm = _true_norm(V) if known is None else known[lo:lo + ROWS]
+        if fill is not None:
+            fill[lo:lo + ROWS] = nrm
         nz = (nrm > 0.0) & (nrm < np.inf)
         if not nz.all():
             V, nrm = V[nz], nrm[nz]
@@ -207,9 +210,18 @@ def hist_from_values(values: np.ndarray, mesh: SphereMesh,
 
 def hist_from_trace(trace: CocycleTrace, mesh: SphereMesh,
                     thresholds) -> DirectionHistogram:
-    """`hist_from_values` of S_1 .. S_N, with the trace's cached norms."""
+    """`hist_from_values` of S_1 .. S_N, with the trace's cached norms.
+
+    A trace without them caches the norms its cell pass takes.
+    """
     values = trace.values[1:]
-    rows = _cells_and_norms(values, mesh, known=trace.norms[1:])
+    if trace._norms is None:
+        norms = np.empty(len(trace.values))
+        norms[0] = _true_norm(trace.values[0])
+        rows = _cells_and_norms(values, mesh, fill=norms[1:])
+        trace._norms = norms
+    else:
+        rows = _cells_and_norms(values, mesh, known=trace.norms[1:])
     return _histogram(*rows, mesh, thresholds, len(values))
 
 

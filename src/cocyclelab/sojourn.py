@@ -5,9 +5,10 @@ segments, each taking 1/n of the time budget. The fraction of time a
 segment spends inside a cone comes from the exact crossing kernels in
 `cones`, so tau needs no quadrature: it is the mean of per-segment
 inside fractions. The piecewise-constant variant counts the lattice
-points themselves. A series of horizons folds the segments in blocks
-of `cones.ROWS`, carrying a running sum and a count, so it holds no
-array as long as the horizon.
+points themselves; `cones.path_fractions` gives both in one pass over
+the points. A series of horizons folds the path in blocks of
+`cones.ROWS`, carrying a running sum and a count, so it holds no array
+as long as the horizon.
 """
 from __future__ import annotations
 
@@ -15,33 +16,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ROWS, BallWindow, Cone
+from .cones import ROWS, BallWindow, Cone, path_fractions
 from .engine import CocycleTrace
 from .errors import ConfigInvalid
 
 
-def _segments(trace: CocycleTrace, n: int):
+def _walk(trace: CocycleTrace, n: int, cone: Cone | None = None) -> np.ndarray:
+    # the points S_0 .. S_n, for a cone of the walk's dimension
     if not 1 <= n <= trace.N:
         raise ConfigInvalid("n", "need 1 <= n <= N")
-    return trace.values[:n], trace.values[1:n + 1]
+    if cone is not None and cone.d != trace.d:
+        raise ConfigInvalid("cone", f"cone has dimension {cone.d}, the walk {trace.d}")
+    return trace.values[:n + 1]
+
+
+def _segments(trace: CocycleTrace, n: int, cone: Cone | None = None):
+    V = _walk(trace, n, cone)
+    return V[:-1], V[1:]
 
 
 def tau(trace: CocycleTrace, n: int, cone: Cone) -> float:
     """Time fraction of [0,1] the interpolated path W_n spends in the cone."""
-    P0, P1 = _segments(trace, n)
-    return float(cone.segment_fraction(P0, P1).mean())
+    return float(path_fractions(cone, _walk(trace, n, cone), ends=False)[0].mean())
 
 
 def tau_discrete(trace: CocycleTrace, n: int, cone: Cone) -> float:
     """Fraction of the points S_1..S_n inside the cone."""
-    _, P1 = _segments(trace, n)
+    _, P1 = _segments(trace, n, cone)
     return float(cone.contains(P1).mean())
 
 
 def ball_visit_frequency(trace: CocycleTrace, n: int, M: float) -> float:
     """Time fraction W_n spends inside the open ball of radius M."""
-    P0, P1 = _segments(trace, n)
-    return float(BallWindow(M).segment_fraction(P0, P1).mean())
+    fr, _ = path_fractions(BallWindow(M), _walk(trace, n), trace.norms[:n + 1], ends=False)
+    return float(fr.mean())
 
 
 def dyadic_grid(N: int) -> np.ndarray:
@@ -84,34 +92,36 @@ def _blocks(n: int) -> list:
 def sojourn_series(trace: CocycleTrace, cone: Cone, grid=None) -> SojournSeries:
     """tau and tau_discrete at each grid horizon (default: dyadic).
 
-    The segments up to the longest horizon are folded in blocks of ROWS:
-    each block's fractions continue the running sum (the same sequential
-    sum as one cumsum over all of them) and its points in the cone
-    continue an integer count, and the horizons that end in the block
-    read both. Memory is bounded by the block, not by the horizon. The
-    grid may be unsorted and may repeat horizons.
+    The path up to the longest horizon is folded in blocks of ROWS
+    segments, each read through `cones.path_fractions`: the block's
+    fractions continue the running sum (the same sequential sum as one
+    cumsum over all of them), and its points in the cone are counted up
+    to each horizon that ends in the block, and over the whole block.
+    Memory is bounded by the block, not by the horizon. The grid may be
+    unsorted and may repeat horizons.
     """
     ns = dyadic_grid(trace.N) if grid is None else np.asarray(grid, dtype=np.int64)
     if len(ns) == 0 or ns.min() < 1 or ns.max() > trace.N:
         raise ConfigInvalid("grid", "grid horizons must lie in [1, N]")
     top = int(ns.max())
-    P0, P1 = _segments(trace, top)
+    V = _walk(trace, top, cone)
     order = np.argsort(ns, kind="stable")
     at = ns[order] - 1                      # each horizon's last segment, ascending
     frac_at = np.empty(len(ns))
     disc_at = np.empty(len(ns), dtype=np.int64)
     frac_cum = np.empty(min(top, ROWS + 1))
-    disc_cum = np.empty(len(frac_cum), dtype=np.int64)
     run, count = 0.0, 0
     for lo, hi in _blocks(top):
-        fr = cone.segment_fraction(P0[lo:hi], P1[lo:hi])
+        fr, inside = path_fractions(cone, V[lo:hi + 1])
         if lo:
             fr[0] += run
         fc = np.cumsum(fr, out=frac_cum[:hi - lo])
-        dc = np.cumsum(cone.contains(P1[lo:hi]), out=disc_cum[:hi - lo])
-        dc += count
-        run, count = fc[-1], dc[-1]
+        run = fc[-1]
         a, b = np.searchsorted(at, (lo, hi))
-        frac_at[order[a:b]] = fc[at[a:b] - lo]
-        disc_at[order[a:b]] = dc[at[a:b] - lo]
+        if a < b:
+            frac_at[order[a:b]] = fc[at[a:b] - lo]
+            # the points inside up to each horizon: those at or before its last segment
+            upto = np.searchsorted(np.flatnonzero(inside), at[a:b] - lo, side="right")
+            disc_at[order[a:b]] = count + upto
+        count += np.count_nonzero(inside)
     return SojournSeries(ns, frac_at / ns, disc_at / ns)

@@ -47,7 +47,7 @@ _MASK = np.uint64((1 << 53) - 1)       # lattice positions are (X & _MASK) * 2^-
 _CAT = np.array([[2, 1], [1, 1]], dtype=np.uint64)
 _CAT_INV = np.array([[1, -1], [-1, 2]]).astype(np.uint64)     # entries mod 2^64
 _WORDS = "words"            # the `increments` law of the doubling map's digit stream
-MARK = 8192                 # rows between the generator states saved for a stream
+MARK = 8192                 # orbit steps between the generator states saved for a stream
 _ANY_SEED = np.random.SeedSequence(0)   # a mark then sets the generator's whole state
 
 
@@ -134,7 +134,7 @@ def _draw(rng: np.random.Generator, law: str, d: int, out: np.ndarray) -> np.nda
 
 @functools.lru_cache(maxsize=64)
 def _marks(seed: tuple, law: str, d: int) -> dict:
-    # g -> the state of the generator keyed `seed` before its row g * MARK,
+    # g -> the state of the generator keyed `seed` before its g-th mark's row,
     # for g = 0, 1, ...; reads add the next ones. A state is a function of g
     # alone, so reads that both save it agree. A mark counts rows, not
     # generator outputs, so law and d are part of the key
@@ -143,25 +143,26 @@ def _marks(seed: tuple, law: str, d: int) -> dict:
 
 def _stream(seed: tuple, law: str, d: int, a: int, b: int) -> np.ndarray:
     # rows a .. b-1 of the stream keyed `seed`, as a fresh array: from the
-    # last mark at or below a, in chunks that end at each multiple of MARK,
-    # where a missing mark is saved; skipped rows go to a scratch chunk
+    # last mark at or below a, in chunks that end at each mark's row, where
+    # a missing mark is saved; skipped rows go to a scratch chunk
     marks = _marks(seed, law, d)
-    at = min(a // MARK, len(marks) - 1) * MARK
+    every = MARK // 64 if law == _WORDS else MARK       # a word holds 64 steps
+    at = min(a // every, len(marks) - 1) * every
     rng = np.random.Generator(np.random.PCG64(_ANY_SEED))    # a third of default_rng's cost
-    rng.bit_generator.state = marks[at // MARK]
+    rng.bit_generator.state = marks[at // every]
     dtype = np.uint64 if law == _WORDS else np.float64
     out = np.empty((b - a, d), dtype)
-    skip = np.empty((min(a - at, MARK), d), dtype)
+    skip = np.empty((min(a - at, every), d), dtype)
     while at < b:
-        stop = min(b, at - at % MARK + MARK)
+        stop = min(b, at - at % every + every)
         if at < a:
             stop = min(stop, a)
             _draw(rng, law, d, skip[:stop - at])
         else:
             _draw(rng, law, d, out[at - a:stop - a])
         at = stop
-        if at % MARK == 0 and at // MARK not in marks:
-            marks[at // MARK] = rng.bit_generator.state
+        if at % every == 0 and at // every not in marks:
+            marks[at // every] = rng.bit_generator.state
     return out
 
 
@@ -172,10 +173,11 @@ def increments(key: tuple, law: str, d: int, lo: int, hi: int) -> np.ndarray:
     A pure function of (key, law, d, index). Index i >= 0 is draw i of the
     stream keyed ``(*key, 0)``, or ``(*key, 2)`` for the doubling map's
     uint64 digit words (law ``"words"``); index i < 0 is draw -1-i of
-    ``(*key, 1)``. Generator states are saved every MARK rows of the 64
-    streams read last, so a read costs its own rows plus at most MARK more
-    once a stream's marks reach it; a first read far out draws its way
-    there a MARK at a time and keeps none of those rows.
+    ``(*key, 1)``. Generator states are saved every MARK rows, or every
+    MARK / 64 words (MARK orbit steps of the doubling map), of the 64
+    streams read last, so a read costs its own rows plus at most one such
+    spacing more once a stream's marks reach it; a first read far out draws
+    its way there a mark at a time and keeps none of those rows.
     """
     fwd = None
     if hi >= 0:

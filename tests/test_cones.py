@@ -636,3 +636,124 @@ def test_screened_ball_kernel_matches_the_reference(d, M):
         want = unblocked_ball_fraction(M, P0, P1)
     assert got.tobytes() == want.tobytes()
     assert 0 < sum(rows) < len(P0)
+
+
+# The path kernel: a walk's points V give the fractions of its segments
+# V[k] -> V[k+1] and the membership of V[1:], with the bytes of the segment
+# kernel and of contains, for every kind, at every edge scale and across
+# the edges of the path kernel's blocks
+
+ROWS = cl.cones.ROWS
+PATH_KERNELS = {
+    d: KERNEL_CONES[d] + (
+        HalfSpace(np.eye(d)[1]), HalfSpace(np.arange(1.0, d + 1.0)),
+        Complement(KERNEL_CONES[d][0]), Complement(KERNEL_CONES[d][2]),
+        Complement(HalfSpace(np.eye(d)[0])), Complement(Orthant(np.eye(d)[0])),
+        BallWindow(1.0), BallWindow(40.0), BallWindow(1e250))
+    for d in (2, 3)}
+
+
+def assert_path_matches_segments(kernel, V):
+    with np.errstate(all="ignore"):
+        want = kernel.segment_fraction(V[:-1], V[1:]), kernel.contains(V[1:])
+        runs = [cl.cones.path_fractions(kernel, V)]
+        if isinstance(kernel, BallWindow):     # with the norms a trace caches
+            runs.append(cl.cones.path_fractions(kernel, V, cl.cones._true_norm(V)))
+        alone = cl.cones.path_fractions(kernel, V, ends=False)[0]    # no membership asked
+    assert alone.tobytes() == want[0].tobytes(), kernel
+    for fr, inside in runs:
+        assert fr.tobytes() == want[0].tobytes(), kernel
+        assert inside.dtype == bool and inside.tobytes() == want[1].tobytes(), kernel
+
+
+def edge_path(d):
+    # the special segments of every scale, end to end, then their scale-1
+    # rows at each scale of SCALES (just inside and outside BAND), inside a
+    # walk so that they straddle the path kernel's first block edge
+    S0, S1 = special_segments(d)
+    E = np.empty((2 * len(S0), d))
+    E[0::2], E[1::2] = S0, S1
+    Q = E[:len(E) // 6]                             # the scale-1 rows
+    m = np.abs(Q).max(axis=1, keepdims=True)
+    Q = np.divide(Q, m, out=np.zeros_like(Q), where=m > 0.0)
+    E = np.concatenate([E] + [s * Q for s in SCALES])
+    walk = np.cumsum(np.random.default_rng(d).standard_normal((2 * ROWS, d)), axis=0)
+    k = ROWS - len(E) // 2
+    return np.concatenate([walk[:k], E, walk[k:], E])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_path_kernel_matches_the_segment_kernels_on_edge_rows(d):
+    V = edge_path(d)
+    for kernel in PATH_KERNELS[d]:
+        # one and two segments; a lone segment past the first block edge;
+        # the whole path, which ends on the edge rows
+        for n in (1, 2, ROWS + 1, len(V) - 1):
+            assert_path_matches_segments(kernel, V[:n + 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, 3, 17, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1]),
+       st.sampled_from([1.0, 1e-160, 2.0 ** -40, 2.0 ** 200, 1e154, 1e300]),
+       st.lists(st.tuples(st.integers(0, 2 * ROWS + 1),
+                          st.lists(wide, min_size=3, max_size=3)), max_size=8))
+def test_path_kernel_matches_the_segment_kernels(d, seed, n, scale, rows):
+    # a Gaussian walk at one scale, some of its points replaced by edge rows
+    V = scale * np.cumsum(np.random.default_rng(seed).standard_normal((n + 1, d)), axis=0)
+    for k, row in rows:
+        V[k % (n + 1)] = row[:d]
+    for kernel in PATH_KERNELS[d]:
+        assert_path_matches_segments(kernel, V)
+
+
+def test_series_work_on_a_rademacher_walk():
+    # deterministic performance check on the walk of
+    # test_angular_kernel_work_on_a_rademacher_walk: the series takes each
+    # point's face heights once a block, and tests against the cone only the
+    # ends of the segments that take the closed form, and one point a block
+    # (the midpoints that the closed form tests are not counted)
+    n = 1 << 16
+    sysm = cl.iid_shift("rademacher", d=2, seed=1)
+    tr = cl.ergodic_sums(sysm, cl.iid_increment("rademacher", 2),
+                         cl.sample_initial(sysm, 1), n, checkpoint_every=None)
+    cone = cl.parse_cone("angular:1,0,0.5")
+    want = cl.sojourn_series(tr, cone)
+    heights, ends, closing = [], [], []
+    points, contains, fractions = cone._points, cone.contains, cone._fractions
+
+    def closed_form(P0, P1):
+        closing.append(True)
+        try:
+            return fractions(P0, P1)
+        finally:
+            closing.pop()
+
+    cone._points = lambda V: (heights.append(len(V)), points(V))[1]
+    cone.contains = lambda V: (closing or ends.append(len(V)), contains(V))[1]
+    cone._fractions = closed_form
+    got = cl.sojourn_series(tr, cone)
+    blocks = -(-n // ROWS)
+    assert sum(heights) <= n + blocks
+    assert 0 < sum(ends) <= 0.01 * n
+    assert (got.tau.tobytes(), got.tau_disc.tobytes()) == \
+        (want.tau.tobytes(), want.tau_disc.tobytes())
+
+
+@pytest.mark.parametrize("kernel", [AngularCone([1.0, 0.3], SQRT2), AngularCone([-0.3, 2.0], 1.9),
+                                    AngularCone([1.0, 1.0], 1.1), HalfSpace([0.6, 0.8])],
+                         ids=["right", "wide", "narrow", "halfspace"])
+def test_path_ends_keep_their_one_row_bytes(kernel):
+    # points on the boundary to within rounding, whose membership a one-row
+    # matmul and a two-row one put on opposite sides: as the end of a
+    # one-segment path, and of a lone segment past a block edge
+    rng = np.random.default_rng(3)
+    axis, ap = (kernel.axis, kernel.aperture) if isinstance(kernel, AngularCone) \
+        else (unit(kernel.normal), SQRT2)
+    P = near_rays(rng, axis, ap, 3000)
+    P = P[[kernel.contains(p[None])[0] != kernel.contains(np.stack([p, p]))[1] for p in P]]
+    assert len(P) > 0
+    walk = np.cumsum(rng.standard_normal((ROWS + 1, 2)), axis=0)
+    for p in P[:20]:
+        assert_path_matches_segments(kernel, np.stack([2.0 * p, p]))
+        assert_path_matches_segments(kernel, np.concatenate([walk, [p]]))

@@ -101,6 +101,26 @@ def test_hist_from_trace_equals_hist_from_values():
     assert got.counts[1].sum() > 0 and got.counts[2].sum() == 0
 
 
+def test_hist_from_trace_caches_the_norms_of_its_cell_pass(monkeypatch):
+    # on a trace without cached norms the cell pass's own norms fill the
+    # cache: each row reaches _true_norm once, in that pass and not in a
+    # pass of the trace's own, and the cache has that pass's bytes
+    tr = rademacher_trace(4, 4, 3 * ROWS + 5)
+    tr.values[ROWS - 2:ROWS + 3] = np.ldexp(tr.values[ROWS - 2:ROWS + 3], 700)
+    tr.values[[6, 2 * ROWS]] = 0.0
+    want = cl.CocycleTrace(tr.system, tr.obs, tr.state0, tr.N, tr.values).norms
+    mesh, lad = dr.make_mesh(2), [5.0, 50.0, 1e300]
+    hist = dr.hist_from_values(tr.values[1:], mesh, lad)
+    rows = {dr: [], cl.engine: []}
+    for module, seen in rows.items():
+        monkeypatch.setattr(module, "_true_norm",
+                            lambda V, seen=seen: (seen.append(len(np.atleast_2d(V))),
+                                                  _true_norm(V))[1])
+    assert same_histogram(dr.hist_from_trace(tr, mesh, lad), hist)
+    assert tr.norms.tobytes() == want.tobytes()
+    assert sum(rows[dr]) == len(tr.values) and not rows[cl.engine]
+
+
 def test_histogram_merge_is_monoidal():
     mesh = dr.make_mesh(2)
     lad = np.array([5.0, 50.0])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import cocyclelab as cl
-from cocyclelab import AngularCone, Complement, HalfSpace, Orthant
+from cocyclelab import AngularCone, BallWindow, Complement, HalfSpace, Orthant
+from cocyclelab import cli
 from cocyclelab import sojourn as so
 from cocyclelab.cones import ROWS
 
@@ -221,6 +222,22 @@ def test_blocked_series_equals_the_series_before(law, d):
             assert got.ns.tobytes() == want.ns.tobytes(), (text, grid)
             assert got.tau.tobytes() == want.tau.tobytes(), (text, grid)
             assert got.tau_disc.tobytes() == want.tau_disc.tobytes(), (text, grid)
+    # the CLI's sojourn rows, ball column included, on the same walk: the
+    # ball column as it was taken before the path kernels, from one ball
+    # segment pass up to the top horizon
+    system = {"kind": "iid-shift", "law": law, "d": d, "seed": 11 + d}
+    for k, grid in enumerate(_GRIDS):
+        M = (1.0, 10.0, 100.0)[k % 3]
+        text = _CONES[d][k % len(_CONES[d])]
+        ns, taus, discs, ball = cli._sojourn_task({
+            "system": system, "observable": f"iid({law},d={d})", "N": tr.N,
+            "cone": text, "grid": grid, "M": M, "seed": 11 + d})
+        want = sojourn_series_before(tr, cl.parse_cone(text, d), grid)
+        assert (ns.tobytes(), taus.tobytes(), discs.tobytes()) == \
+            (want.ns.tobytes(), want.tau.tobytes(), want.tau_disc.tobytes()), (text, grid)
+        top = int(ns.max())
+        fr = BallWindow(M).segment_fraction(tr.values[:top], tr.values[1:top + 1])
+        assert ball.tobytes() == np.array([fr[:n].mean() for n in ns]).tobytes(), (M, grid)
 
 
 def test_block_bounds_never_leave_a_lone_row():
@@ -253,3 +270,27 @@ def test_series_memory_is_flat_in_the_horizon(text, mb):
     large = series_peak(rademacher_trace(5, 1 << 19), cone)
     assert small < mb * 2**20
     assert large / small <= 1.2
+
+
+def trace_2d(n=40):
+    return rademacher_trace(3, n)
+
+
+@pytest.mark.parametrize("field, call", [
+    ("ball", lambda: BallWindow(float("nan"))),
+    ("ball", lambda: BallWindow(float("inf"))),
+    ("ball", lambda: cl.ball_visit_frequency(trace_2d(), 40, float("nan"))),
+    ("cone", lambda: HalfSpace([float("nan"), 1.0])),
+    ("cone", lambda: HalfSpace([float("inf"), 0.0])),
+    ("cone", lambda: AngularCone([float("nan"), 0.0], 0.5)),
+    ("cone", lambda: AngularCone([float("inf"), 0.0], 0.5)),
+    ("cone", lambda: cl.sojourn_series(trace_2d(), cl.parse_cone("angular:1,0,0,0.5"))),
+    ("cone", lambda: cl.tau(trace_2d(), 40, cl.parse_cone("halfspace:0,0,1"))),
+    ("cone", lambda: cl.tau_discrete(trace_2d(), 40, Orthant([1, 1, 1]))),
+], ids=["ball-nan", "ball-inf", "frequency-nan", "halfspace-nan", "halfspace-inf",
+        "angular-nan", "angular-inf", "series-3d-on-2d", "tau-3d-on-2d", "disc-3d-on-2d"])
+def test_cone_and_ball_inputs_are_config_errors(field, call):
+    # each read a number (0.0, 1.0 or nan) or raised an untyped numpy error
+    with pytest.raises(cl.ConfigInvalid) as err:
+        call()
+    assert err.value.field == field

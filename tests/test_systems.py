@@ -291,6 +291,33 @@ def test_a_sweep_draws_its_rows_and_at_most_a_mark_more_per_read(start, monkeypa
     assert sy._marks.cache_info().currsize <= 64
 
 
+def test_consecutive_doubling_reads_draw_about_the_words_they_read(monkeypatch):
+    # a read of 8192 orbit steps takes about 129 digit words; the next read
+    # restores a mark at most MARK // 64 words below its start, not MARK
+    # words (which redrew some 30 times the words read). Counted without a
+    # clock; the words are the raw stream either way
+    sy = cl.systems
+    drawn, read = [], []
+    draw, increments = sy._draw, sy.increments
+
+    def counted(rng, law, d, out):
+        drawn.append(len(out) if law == "words" else 0)
+        return draw(rng, law, d, out)
+
+    def reads(key, law, d, lo, hi):
+        read.append(hi - lo + 1)
+        return increments(key, law, d, lo, hi)
+
+    monkeypatch.setattr(sy, "_draw", counted)
+    monkeypatch.setattr(sy, "increments", reads)
+    sysm = cl.doubling(seed=21)
+    st0 = cl.sample_initial(sysm, 5)
+    spans = [sy.orbit_span(sysm, st0, k * 8192, (k + 1) * 8192 - 1) for k in range(128)]
+    assert sum(read) >= 128 * 128 and sum(drawn) < 2 * sum(read)
+    whole = sy.orbit_span(sysm, st0, 0, 128 * 8192 - 1)
+    assert np.concatenate([sp.positions for sp in spans]).tobytes() == whole.positions.tobytes()
+
+
 def test_concurrent_reads_of_a_cold_stream_give_its_bytes():
     # threads that read one stream from a cold memo, each in its own order,
     # save the same marks and read the bytes of a single reader

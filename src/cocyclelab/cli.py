@@ -31,7 +31,7 @@ from . import filling as fl
 from . import induce as ind
 from . import sojourn as so
 from . import systems as sy
-from .cones import BallWindow, parse_cone, path_fractions
+from .cones import BallWindow, parse_cone
 from .engine import ergodic_sums
 from .errors import CocycleLabError, ConfigInvalid
 from .observables import parse_observable
@@ -456,8 +456,8 @@ def _sojourn_task(payload: dict):
     ser = so.sojourn_series(tr, cone, grid=payload["grid"])
     # one ball pass up to the top horizon; each horizon takes a prefix mean
     top = int(ser.ns.max())
-    fr, _ = path_fractions(BallWindow(payload["M"]), tr.values[:top + 1], tr.norms[:top + 1],
-                           ends=False)
+    fr, _ = BallWindow(payload["M"]).path_fractions(tr.values[:top + 1], tr.norms[:top + 1],
+                                                    ends=False)
     ball = np.array([fr[:n].mean() for n in ser.ns])
     return ser.ns, ser.tau, ser.tau_disc, ball
 

@@ -20,10 +20,10 @@ takes one membership test, at its midpoint. Only crossing segments
 test each piece's midpoint with the exact (unsquared) membership, so
 spurious roots and tangencies drop out without bisection.
 
-The angular and ball kernels run in blocks of ROWS segments. In the
-plane and for the ball a convexity screen decides most rows before any
-closed form. With m a segment's largest |coordinate| and a margin of
-MARGIN * m:
+The angular, orthant and ball kernels run in blocks of ROWS segments.
+In the plane and for the ball a convexity screen decides most rows
+before any closed form. With m a segment's largest |coordinate| and a
+margin of MARGIN * m:
 
 - planar angular cone: the screen works on K, the cone itself if its
   cos_threshold is positive, else the closure of its complement, and
@@ -34,18 +34,21 @@ MARGIN * m:
 
 On these rows the closed form returns exactly 1.0 or 0.0. The rest, and
 rows whose m is 0 or lies outside BAND, take the closed form; on a long
-walk that is under 1% of the rows. Angular cones in d >= 3 decide no
-row by the screen: every row takes the closed form. For C-contiguous
-input, the layout every caller in the package passes, the screen moves
-no byte; other layouts may move the last bit of rows that take the
-closed form, since matmul rounds <P,u> by layout.
+walk that is under 1% of the rows. Angular cones in d >= 3 and orthants
+have no screen: every row takes the closed form. The screen moves no
+byte.
 
-`path_fractions` reads a walk: each point ends one segment and starts
-the next, so the screened kernels take its screen inputs (face heights,
-or the ball's norm) and its scale once, and a half-space its height. A
-row the screen decides gives its end's membership too (inside exactly
-when the segment is); only the ends of rows that take the closed form
-run `contains`.
+A row's bytes depend on the row alone, not on the rows passed with it
+or on their layout: every <P,u> that reaches an output goes through
+`_dot`, which gives each row the bytes it has among two or more
+C-ordered rows, and the closed forms' row-wise sums take C-ordered rows.
+
+A kernel's `path_fractions` reads a walk: each point ends one segment
+and starts the next, so the screened kernels take its screen inputs
+(face heights, or the ball's norm) and its scale once, and a half-space
+its height. A row the screen decides gives its end's membership too
+(inside exactly when the segment is); only the ends of rows that take
+the closed form run `contains`.
 
 Membership is positively homogeneous. The angular closed forms square
 coordinates, so the angular cone first moves each nonzero row (a point,
@@ -81,9 +84,26 @@ class Cone:
     def complement(self) -> "Cone":
         return Complement(self)
 
-    def _path(self, V, known=None, ends=True):
-        # path_fractions of a path of two or more segments
+    def path_fractions(self, V, known=None, ends=True):
+        """``segment_fraction(V[:-1], V[1:])`` and ``contains(V[1:])`` of a
+        walk's points V, bytes included, in one pass over V.
+
+        known may hold the norms of V, which only a BallWindow reads.
+        Without ends the caller needs no membership, which may then be None.
+        """
         return self.segment_fraction(V[:-1], V[1:]), self.contains(V[1:]) if ends else None
+
+
+def _dot(V, u) -> np.ndarray:
+    # np.dot(V, u), each row with the bytes it has among two or more
+    # C-ordered rows: BLAS rounds a lone row, or another layout, its own way
+    # (a third of a planar Cauchy walk's lone rows move by a bit). np.dot
+    # gives the bytes @ gives, and is several times faster when d == 1
+    V = np.ascontiguousarray(V)
+    W = V.reshape(-1, V.shape[-1])
+    if len(W) == 1:                         # a lone row, beside a copy of itself
+        return np.dot(np.concatenate([W, W]), u)[:1].reshape(V.shape[:-1])
+    return np.dot(W, u).reshape(V.shape[:-1])
 
 
 def _norm(V) -> np.ndarray:
@@ -147,13 +167,6 @@ def _screened(kernel, P0, P1, g0, g1, m):
         inside, outside = kernel._screen(P0, P1, g0, g1, m)
     fr = inside.astype(np.float64)
     i = np.flatnonzero(~((inside | outside) & (m >= BAND[0]) & (m <= BAND[1])))
-    if len(i) == 1 and len(P0) > 1:
-        # matmul rounds <P0,u> for a one-row array another way than for
-        # two or more (a tangent row of a Cauchy walk moved from 0.031 to
-        # 0.0), so a lone row runs beside a second row of its block.
-        # A column-wise dot product, as in _norm, would remove this
-        # dependence on layout, at the cost of moving bytes
-        i = np.array([0, i[0]] if i[0] else [0, 1])
     if len(i):
         fr[i] = kernel._fractions(P0[i], P1[i])
     return fr, inside, i
@@ -177,9 +190,8 @@ def _by_blocks(kernel, P0, P1) -> np.ndarray:
 
 def _by_path(kernel, V, known=None, ends=True):
     # path_fractions of a screened kernel in blocks of ROWS segments, whose
-    # points' screen inputs (or known's) and scales serve both sides. The
-    # ends of rows that took the closed form are tested beside the block's
-    # first point (a one-row matmul rounds another way)
+    # points' screen inputs (or known's) and scales serve both sides; only
+    # the ends of rows that took the closed form run contains
     n = len(V) - 1
     fr, inside = np.empty(n), np.empty(n, dtype=bool) if ends else None
     for lo in range(0, n, ROWS):
@@ -191,21 +203,9 @@ def _by_path(kernel, V, known=None, ends=True):
                                              g[..., 1:], np.maximum(m[:-1], m[1:]))
         if ends:
             if len(i):
-                ins[i] = kernel.contains(pts[np.r_[0, i + 1]])[1:]
+                ins[i] = kernel.contains(pts[i + 1])
             inside[lo:lo + ROWS] = ins
     return fr, inside
-
-
-def path_fractions(kernel, V, known=None, ends=True):
-    """``kernel.segment_fraction(V[:-1], V[1:])`` and ``kernel.contains(V[1:])``
-    of a walk's points V, bytes included, in one pass over V.
-
-    kernel is a cone or a BallWindow; known may hold the ball's norms of V.
-    Without ends the caller needs no membership, which may then be None.
-    """
-    if len(V) == 2:     # one segment: matmul rounds a one-row array its own way
-        return kernel.segment_fraction(V[:1], V[1:]), kernel.contains(V[1:]) if ends else None
-    return kernel._path(V, known, ends)
 
 
 def _crossing_fraction(a0, a1) -> np.ndarray:
@@ -256,17 +256,15 @@ class HalfSpace(Cone):
         self.d = len(u)
 
     def contains(self, V):
-        return np.asarray(V) @ self.normal > 0.0
+        return _dot(V, self.normal) > 0.0
 
     def segment_fraction(self, P0, P1):
-        # np.dot gives the bytes @ gives, and is several times faster when d == 1
-        a0, a1 = np.dot(P0, self.normal), np.dot(P1, self.normal)
+        a0, a1 = _dot(P0, self.normal), _dot(P1, self.normal)
         return self._above(a0, a1, a0 > 0.0, a1 > 0.0)
 
-    def _path(self, V, known=None, ends=True):
-        # one height and one side a point: a row of np.dot over two or more
-        # rows has the bytes it has over any other two or more
-        a = np.dot(V, self.normal)
+    def path_fractions(self, V, known=None, ends=True):
+        # one height and one side a point
+        a = _dot(V, self.normal)
         pos = a > 0.0
         return self._above(a[:-1], a[1:], pos[:-1], pos[1:]), pos[1:]
 
@@ -286,6 +284,8 @@ class Orthant(Cone):
     by trivial baselines).
     """
 
+    _screen = None                  # every row takes the closed form, in blocks
+
     def __init__(self, signs):
         s = np.asarray(signs, dtype=np.float64)
         if s.ndim != 1 or not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
@@ -302,6 +302,9 @@ class Orthant(Cone):
         return np.all(act > 0.0, axis=-1)
 
     def segment_fraction(self, P0, P1):
+        return _by_blocks(self, P0, P1)
+
+    def _fractions(self, P0, P1):
         if len(self._active) == 0:
             return np.ones(len(P0))
         p = P0[:, self._active]
@@ -341,13 +344,13 @@ class AngularCone(Cone):
 
     def contains(self, V):
         (V,) = _into_band(np.asarray(V))
-        return V @ self.axis > self.cos_threshold * _norm(V)
+        return _dot(V, self.axis) > self.cos_threshold * _norm(V)
 
     def segment_fraction(self, P0, P1):
         return _by_blocks(self, P0, P1)
 
-    def _path(self, V, known=None, ends=True):
-        return (Cone._path if self._screen is None else _by_path)(self, V, ends=ends)
+    def path_fractions(self, V, known=None, ends=True):
+        return (Cone.path_fractions if self._screen is None else _by_path)(self, V, ends=ends)
 
     def _points(self, V):
         # the screen's inputs: each point's heights over K's two faces
@@ -358,11 +361,11 @@ class AngularCone(Cone):
         return (in_k, out_k) if self._convex else (out_k, in_k)
 
     def _fractions(self, P0, P1):
-        P0, P1 = _into_band(P0, P1)
+        P0, P1 = _into_band(np.ascontiguousarray(P0), np.ascontiguousarray(P1))
         c2 = self.cos_threshold * self.cos_threshold
         q = P1 - P0
-        pu = P0 @ self.axis
-        qu = q @ self.axis
+        pu = _dot(P0, self.axis)
+        qu = _dot(q, self.axis)
         pp = np.einsum("ij,ij->i", P0, P0)
         pq = np.einsum("ij,ij->i", P0, q)
         qq = np.einsum("ij,ij->i", q, q)
@@ -396,8 +399,8 @@ class Complement(Cone):
     def segment_fraction(self, P0, P1):
         return 1.0 - self.inner.segment_fraction(P0, P1)
 
-    def _path(self, V, known=None, ends=True):
-        fr, inside = self.inner._path(V, ends=ends)
+    def path_fractions(self, V, known=None, ends=True):
+        fr, inside = self.inner.path_fractions(V, ends=ends)
         return 1.0 - fr, None if inside is None else ~inside
 
     def complement(self) -> Cone:
@@ -418,7 +421,7 @@ class BallWindow:
     def segment_fraction(self, P0, P1):
         return _by_blocks(self, P0, P1)
 
-    _path = _by_path
+    path_fractions = _by_path
     _points = staticmethod(_norm)           # the screen's inputs: each point's norm
 
     def _screen(self, P0, P1, n0, n1, m):
@@ -430,6 +433,7 @@ class BallWindow:
 
     def _fractions(self, P0, P1):
         # ||P0 + s q||^2 < M^2 is convex in s: inside exactly between roots
+        P0, P1 = np.ascontiguousarray(P0), np.ascontiguousarray(P1)
         q = P1 - P0
         pp = np.einsum("ij,ij->i", P0, P0)
         pq = np.einsum("ij,ij->i", P0, q)

@@ -5,8 +5,8 @@ segments, each taking 1/n of the time budget. The fraction of time a
 segment spends inside a cone comes from the exact crossing kernels in
 `cones`, so tau needs no quadrature: it is the mean of per-segment
 inside fractions. The piecewise-constant variant counts the lattice
-points themselves; `cones.path_fractions` gives both in one pass over
-the points. A series of horizons folds the path in blocks of
+points themselves; the kernels' `path_fractions` gives both in one pass
+over the points. A series of horizons folds the path in blocks of
 `cones.ROWS`, carrying a running sum and a count, so it holds no array
 as long as the horizon.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ROWS, BallWindow, Cone, path_fractions
+from .cones import ROWS, BallWindow, Cone
 from .engine import CocycleTrace
 from .errors import ConfigInvalid
 
@@ -37,7 +37,7 @@ def _segments(trace: CocycleTrace, n: int, cone: Cone | None = None):
 
 def tau(trace: CocycleTrace, n: int, cone: Cone) -> float:
     """Time fraction of [0,1] the interpolated path W_n spends in the cone."""
-    return float(path_fractions(cone, _walk(trace, n, cone), ends=False)[0].mean())
+    return float(cone.path_fractions(_walk(trace, n, cone), ends=False)[0].mean())
 
 
 def tau_discrete(trace: CocycleTrace, n: int, cone: Cone) -> float:
@@ -48,7 +48,7 @@ def tau_discrete(trace: CocycleTrace, n: int, cone: Cone) -> float:
 
 def ball_visit_frequency(trace: CocycleTrace, n: int, M: float) -> float:
     """Time fraction W_n spends inside the open ball of radius M."""
-    fr, _ = path_fractions(BallWindow(M), _walk(trace, n), trace.norms[:n + 1], ends=False)
+    fr, _ = BallWindow(M).path_fractions(_walk(trace, n), trace.norms[:n + 1], ends=False)
     return float(fr.mean())
 
 
@@ -78,22 +78,11 @@ class SojournSeries:
         return float(self.tau.min())
 
 
-def _blocks(n: int) -> list:
-    # [lo, hi) blocks of ROWS segments at multiples of ROWS, so that the
-    # blocked kernels split each one as they split the whole; a one-row
-    # remainder joins the block before it (matmul rounds a one-row array
-    # another way, and the kernels split it off as before)
-    bounds = list(range(0, n, ROWS)) + [n]
-    if len(bounds) > 2 and n - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def sojourn_series(trace: CocycleTrace, cone: Cone, grid=None) -> SojournSeries:
     """tau and tau_discrete at each grid horizon (default: dyadic).
 
     The path up to the longest horizon is folded in blocks of ROWS
-    segments, each read through `cones.path_fractions`: the block's
+    segments, each read through the cone's `path_fractions`: the block's
     fractions continue the running sum (the same sequential sum as one
     cumsum over all of them), and its points in the cone are counted up
     to each horizon that ends in the block, and over the whole block.
@@ -109,10 +98,11 @@ def sojourn_series(trace: CocycleTrace, cone: Cone, grid=None) -> SojournSeries:
     at = ns[order] - 1                      # each horizon's last segment, ascending
     frac_at = np.empty(len(ns))
     disc_at = np.empty(len(ns), dtype=np.int64)
-    frac_cum = np.empty(min(top, ROWS + 1))
+    frac_cum = np.empty(min(top, ROWS))
     run, count = 0.0, 0
-    for lo, hi in _blocks(top):
-        fr, inside = path_fractions(cone, V[lo:hi + 1])
+    for lo in range(0, top, ROWS):
+        hi = min(lo + ROWS, top)
+        fr, inside = cone.path_fractions(V[lo:hi + 1])
         if lo:
             fr[0] += run
         fc = np.cumsum(fr, out=frac_cum[:hi - lo])

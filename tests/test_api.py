@@ -116,3 +116,29 @@ def test_no_unused_module_imports(path):
             imported |= {a.asname or a.name for a in node.names}
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not imported - names, f"{path.name}: unused imports {sorted(imported - names)}"
+
+
+# where cones.py may take a dot product: _dot gives each row of <P, u> the
+# bytes it has among two or more C-ordered rows, whatever rows come with it,
+# and AngularCone._points feeds only the screen, whose margin absorbs rounding
+DOT_SITES = {"_dot", "AngularCone._points"}
+NUMPY_DOTS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def dot_products(node, where=""):
+    # (enclosing definition, line) of each @, @= and np.dot-like call under node
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from dot_products(child, f"{where}.{child.name}".lstrip("."))
+            continue
+        if (isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult)
+                or isinstance(child, ast.Attribute) and child.attr in NUMPY_DOTS
+                and isinstance(child.value, ast.Name) and child.value.id == "np"):
+            yield where, child.lineno
+        yield from dot_products(child, where)
+
+
+def test_cone_dot_products_go_through_one_helper():
+    found = list(dot_products(parse(PACKAGE / "cones.py")))
+    assert "_dot" in {where for where, _ in found}
+    assert [(w, line) for w, line in found if w not in DOT_SITES] == []

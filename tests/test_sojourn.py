@@ -22,7 +22,7 @@ def rademacher_trace(seed: int, n: int) -> cl.CocycleTrace:
 
 def hand_trace(points) -> cl.CocycleTrace:
     vals = np.asarray(points, dtype=np.float64)
-    return cl.CocycleTrace(None, None, None, len(vals) - 1, vals, {}, None)
+    return cl.CocycleTrace(None, None, None, len(vals) - 1, vals)
 
 
 def interpolated_value(trace: cl.CocycleTrace, n: int, s) -> np.ndarray:
@@ -203,7 +203,7 @@ _CONES = {
     3: ["halfspace:0.6,0.8,0", "angular:1,0,0,0.5", "angular:0,1,1,1.6", "!angular:1,0,0,0.5",
         "orthant:1,-1,0", "full:3"],
 }
-_GRIDS = [None, [ROWS - 1], [ROWS], [ROWS + 1], [3 * ROWS + 1],
+_GRIDS = [None, [ROWS - 1], [ROWS], [ROWS + 1], [2 * ROWS + 1], [3 * ROWS + 1],
           [3 * ROWS + 1, 5, ROWS, 5, 1, 2 * ROWS + 1, ROWS + 1, 2 * ROWS, 3 * ROWS + 1],
           list(range(ROWS - 3, ROWS + 4))[::-1]]
 
@@ -212,7 +212,7 @@ _GRIDS = [None, [ROWS - 1], [ROWS], [ROWS + 1], [3 * ROWS + 1],
 @pytest.mark.parametrize("d", [2, 3])
 def test_blocked_series_equals_the_series_before(law, d):
     # dyadic, unsorted and repeated grids whose tops end a block, or one row
-    # before or after it, including a lone row past three blocks
+    # before or after it, including a lone row past two and three blocks
     tr = walk_trace(law, d, 11 + d, 3 * ROWS + 1)
     for text in _CONES[d]:
         cone = cl.parse_cone(text, d)
@@ -240,23 +240,18 @@ def test_blocked_series_equals_the_series_before(law, d):
         assert ball.tobytes() == np.array([fr[:n].mean() for n in ns]).tobytes(), (M, grid)
 
 
-def test_block_bounds_never_leave_a_lone_row():
-    for n in (1, 2, ROWS - 1, ROWS, ROWS + 1, ROWS + 2, 3 * ROWS + 1):
-        blocks = so._blocks(n)
-        assert blocks[0][0] == 0 and blocks[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-        assert all(lo % ROWS == 0 for lo, _ in blocks)
-        assert n == 1 or all(hi - lo > 1 for lo, hi in blocks)
-
-
-def series_peak(tr, cone) -> int:
+def peak(call) -> int:
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cl.sojourn_series(tr, cone)
+        call()
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def series_peak(tr, cone) -> int:
+    return peak(lambda: cl.sojourn_series(tr, cone))
 
 
 @pytest.mark.parametrize("text, mb", [("halfspace:0,1", 2), ("angular:1,0,0.5", 2),
@@ -270,6 +265,19 @@ def test_series_memory_is_flat_in_the_horizon(text, mb):
     large = series_peak(rademacher_trace(5, 1 << 19), cone)
     assert small < mb * 2**20
     assert large / small <= 1.2
+
+
+@pytest.mark.parametrize("text", ["orthant:1,-1", "!orthant:1,1"])
+def test_orthant_tau_temporaries_are_bounded_by_the_block(text):
+    # the orthant kernel runs in blocks of ROWS segments: beyond the 8-byte
+    # fraction a segment it holds block-sized temporaries, so 2^18 steps
+    # peak near 15 bytes a segment (112 when it ran over all rows at once)
+    n = 1 << 18
+    tr = rademacher_trace(5, n)
+    cone = cl.parse_cone(text, 2)
+    want = cone.segment_fraction(tr.values[:-1], tr.values[1:]).mean()
+    assert peak(lambda: cl.tau(tr, n, cone)) / n < 24
+    assert cl.tau(tr, n, cone) == float(want)
 
 
 def trace_2d(n=40):

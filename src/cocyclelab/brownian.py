@@ -3,10 +3,9 @@
 These samplers are the independent yardstick for the walk statistics:
 occupation fractions of cones under Brownian motion obey the Levy
 arcsine law (half-spaces, via 1-D projection), are scale invariant in
-the horizon, and are strictly positive near 1. Occupation is computed
-with the same exact segment-crossing kernels used for walk paths; a
-half-space path is 1-D, and only its sign changes take the crossing
-rule that `HalfSpace.segment_fraction` applies.
+the horizon, and are strictly positive near 1. Occupation is read by
+the same exact path kernel as walk paths, the cone's `path_fractions`;
+a half-space path is 1-D, read through `HalfSpace([1.0])`.
 """
 from __future__ import annotations
 
@@ -14,11 +13,13 @@ import math
 
 import numpy as np
 
-from .cones import Cone, HalfSpace, _crossing_fraction
+from .cones import Cone, HalfSpace
 from .errors import ConfigInvalid
 
 _TAG = 179          # seed-space namespace for Brownian streams
 ROW_BLOCK = 1 << 16  # path steps drawn, summed and reduced at a time
+BATCH = 10_000       # paths a generator draws: batch bi is keyed (seed, bi)
+_HALF_LINE = HalfSpace([1.0])
 
 
 def _rng(seed):
@@ -31,48 +32,37 @@ def _check_step(t: float, h: float) -> None:
         raise ConfigInvalid("h", "need 0 < h <= t/100")
 
 
-def _half_line_fractions(a: np.ndarray, fr: np.ndarray, steps: int) -> None:
-    # a: 1-D path values, rows of `steps` values each from the origin (flat);
-    # fr: each segment's fraction above 0. A segment is decided by its end,
-    # unless its ends lie on both sides of 0; a row's first segment starts
-    # at the origin, where the crossing rule also gives its end's side
-    np.greater(a, 0.0, out=fr)
-    j = np.flatnonzero(fr[1:] != fr[:-1]) + 1
-    j = j[j % steps != 0]
-    fr[j] = _crossing_fraction(a[j - 1], a[j])
-
-
-def tau_samples(cone: Cone, t: float, h: float, samples: int, seed: int = 0,
-                batch: int = 10_000) -> np.ndarray:
+def tau_samples(cone: Cone, t: float, h: float, samples: int, seed: int = 0) -> np.ndarray:
     """Occupation fractions across independent paths.
 
-    Batch bi of `batch` paths draws from the generator keyed (seed, bi).
+    Batch bi of BATCH paths draws from the generator keyed (seed, bi);
+    cones other than half-spaces take batches of at most 2e6 path steps.
     Within a batch, whole paths are drawn, summed and reduced a few rows
     at a time (about ROW_BLOCK path steps), in buffers reused across the
     row blocks, so memory is bounded by the row block and the output,
-    not by the sample count. Half-spaces draw 1-D increments, since the
+    not by the sample count. A row block is laid out as one walk, each
+    path from an origin of its own, and read through the cone's
+    `path_fractions`; the segment from one path's end to the next
+    origin is dropped. Half-spaces draw 1-D increments, since the
     projection of a Brownian motion on the unit normal is a 1-D Brownian
-    motion, and read each path's occupation from its sign changes; other
-    cones draw d-dimensional paths, in batches of at most 2e6 path steps,
-    and pass their segments to the cone's kernel.
+    motion, and read them through the half-line `HalfSpace([1.0])`.
     """
     _check_step(t, h)
     if samples < 1:
         raise ConfigInvalid("samples", "need at least one sample")
-    if batch < 1:
-        raise ConfigInvalid("batch", "need at least one path per batch")
     steps = int(round(t / h))
-    half = isinstance(cone, HalfSpace)
-    d = 1 if half else cone.d
-    if not half:
-        # the batch size decides which (seed, bi) generator draws each path
-        batch = max(1, min(batch, 2_000_000 // steps))
-    rows = min(max(1, ROW_BLOCK // steps), batch, samples)
-    V = np.empty((rows, steps, d))           # path values, drawn and summed in place
-    if half:
-        F = np.empty((rows, steps))
+    if isinstance(cone, HalfSpace):
+        kernel, d, batch = _HALF_LINE, 1, BATCH
     else:
-        P0 = np.zeros((rows, steps, d))      # segment starts: each path's first is 0
+        # the batch size decides which (seed, bi) generator draws each path
+        kernel, d, batch = cone, cone.d, max(1, min(BATCH, 2_000_000 // steps))
+    rows = min(max(1, ROW_BLOCK // steps), batch, samples)
+    V = np.empty((rows, steps, d))                  # increments, as drawn
+    # a row block as one walk: each path's origin (0) and its steps points,
+    # then one more origin, so each path has steps + 1 segments, the last
+    # one (to the next origin) dropped
+    walk = np.zeros((rows * (steps + 1) + 1, d))
+    W = walk[:-1].reshape(rows, steps + 1, d)[:, 1:]    # each path's points
     sqrt_h = np.sqrt(h)
     out = np.empty(samples)
     for bi, lo in enumerate(range(0, samples, batch)):
@@ -83,15 +73,9 @@ def tau_samples(cone: Cone, t: float, h: float, samples: int, seed: int = 0,
             v = V[:m]
             rng.standard_normal(out=v)
             v *= sqrt_h
-            np.cumsum(v, axis=1, out=v)
-            if half:
-                fr = F[:m]
-                _half_line_fractions(v.reshape(-1), fr.reshape(-1), steps)
-            else:
-                p0 = P0[:m]
-                p0[:, 1:] = v[:, :-1]
-                fr = cone.segment_fraction(p0.reshape(-1, d), v.reshape(-1, d))
-            out[r0:r0 + m] = fr.reshape(m, steps).mean(axis=1)
+            np.cumsum(v, axis=1, out=W[:m])
+            fr, _ = kernel.path_fractions(walk[:m * (steps + 1) + 1], ends=False)
+            out[r0:r0 + m] = fr.reshape(m, steps + 1)[:, :steps].mean(axis=1)
     return out
 
 

@@ -20,7 +20,9 @@ takes one membership test, at its midpoint. Only crossing segments
 test each piece's midpoint with the exact (unsquared) membership, so
 spurious roots and tangencies drop out without bisection.
 
-The angular, orthant and ball kernels run in blocks of ROWS segments.
+The angular, orthant and ball kernels run in blocks of ROWS segments,
+through the two methods `Cone` defines once (`segment_fraction` and
+`path_fractions`; the half-space and `Complement` have their own).
 In the plane and for the ball a convexity screen decides most rows
 before any closed form. With m a segment's largest |coordinate| and a
 margin of MARGIN * m:
@@ -48,7 +50,8 @@ and starts the next, so the screened kernels take its screen inputs
 (face heights, or the ball's norm) and its scale once, and a half-space
 its height. A row the screen decides gives its end's membership too
 (inside exactly when the segment is); only the ends of rows that take
-the closed form run `contains`.
+the closed form run `contains`, which takes every end of a kernel with
+no screen, block by block.
 
 Membership is positively homogeneous. The angular closed forms square
 coordinates, so the angular cone first moves each nonzero row (a point,
@@ -73,25 +76,59 @@ MARGIN = 1e-9           # relative margin by which the screen decides a segment
 
 class Cone:
     d: int
+    _screen = None                  # no screen: every row takes the closed form
 
     def contains(self, V: np.ndarray) -> np.ndarray:
         """Strict membership for points, vectorized over rows."""
         raise NotImplementedError
 
     def segment_fraction(self, P0: np.ndarray, P1: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Each segment's fraction inside, in blocks of ROWS independent
+        segments (temporaries scale with ROWS, not N), through the screen
+        unless there is none."""
+        out = np.empty(len(P0))
+        for k in range(0, len(P0), ROWS):
+            p0, p1 = P0[k:k + ROWS], P1[k:k + ROWS]
+            if self._screen is None:
+                out[k:k + ROWS] = self._fractions(p0, p1)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                g0, g1 = self._points(p0), self._points(p1)
+            out[k:k + ROWS] = _screened(self, p0, p1, g0, g1, _scale(p0, p1))[0]
+        return out
 
     def complement(self) -> "Cone":
         return Complement(self)
 
     def path_fractions(self, V, known=None, ends=True):
         """``segment_fraction(V[:-1], V[1:])`` and ``contains(V[1:])`` of a
-        walk's points V, bytes included, in one pass over V.
+        walk's points V, bytes included, in blocks of ROWS segments.
 
-        known may hold the norms of V, which only a BallWindow reads.
-        Without ends the caller needs no membership, which may then be None.
+        A screened kernel takes a block's screen inputs (or known's) and
+        scales once a point; only the ends of rows that took the closed
+        form run contains. known may hold the norms of V, which only a
+        BallWindow reads. Without ends the caller needs no membership,
+        which may then be None.
         """
-        return self.segment_fraction(V[:-1], V[1:]), self.contains(V[1:]) if ends else None
+        n = len(V) - 1
+        fr, inside = np.empty(n), np.empty(n, dtype=bool) if ends else None
+        for lo in range(0, n, ROWS):
+            pts = V[lo:lo + ROWS + 1]
+            if self._screen is None:
+                fr[lo:lo + ROWS] = self._fractions(pts[:-1], pts[1:])
+                if ends:
+                    inside[lo:lo + ROWS] = self.contains(pts[1:])
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = self._points(pts) if known is None else known[lo:lo + ROWS + 1]
+            m = _scale(pts)
+            fr[lo:lo + ROWS], ins, i = _screened(self, pts[:-1], pts[1:], g[..., :-1],
+                                                 g[..., 1:], np.maximum(m[:-1], m[1:]))
+            if ends:
+                if len(i):
+                    ins[i] = self.contains(pts[i + 1])
+                inside[lo:lo + ROWS] = ins
+        return fr, inside
 
 
 def _dot(V, u) -> np.ndarray:
@@ -172,42 +209,6 @@ def _screened(kernel, P0, P1, g0, g1, m):
     return fr, inside, i
 
 
-def _by_blocks(kernel, P0, P1) -> np.ndarray:
-    # kernel._fractions(P0, P1) of independent segments, in blocks of ROWS
-    # segments (temporaries scale with ROWS, not N), through the screen
-    # unless kernel._screen is None
-    out = np.empty(len(P0))
-    for k in range(0, len(P0), ROWS):
-        p0, p1 = P0[k:k + ROWS], P1[k:k + ROWS]
-        if kernel._screen is None:
-            out[k:k + ROWS] = kernel._fractions(p0, p1)
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            g0, g1 = kernel._points(p0), kernel._points(p1)
-        out[k:k + ROWS] = _screened(kernel, p0, p1, g0, g1, _scale(p0, p1))[0]
-    return out
-
-
-def _by_path(kernel, V, known=None, ends=True):
-    # path_fractions of a screened kernel in blocks of ROWS segments, whose
-    # points' screen inputs (or known's) and scales serve both sides; only
-    # the ends of rows that took the closed form run contains
-    n = len(V) - 1
-    fr, inside = np.empty(n), np.empty(n, dtype=bool) if ends else None
-    for lo in range(0, n, ROWS):
-        pts = V[lo:lo + ROWS + 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = kernel._points(pts) if known is None else known[lo:lo + ROWS + 1]
-        m = _scale(pts)
-        fr[lo:lo + ROWS], ins, i = _screened(kernel, pts[:-1], pts[1:], g[..., :-1],
-                                             g[..., 1:], np.maximum(m[:-1], m[1:]))
-        if ends:
-            if len(i):
-                ins[i] = kernel.contains(pts[i + 1])
-            inside[lo:lo + ROWS] = ins
-    return fr, inside
-
-
 def _crossing_fraction(a0, a1) -> np.ndarray:
     # a0, a1: signed heights of the ends of segments that cross 0 (one end
     # above 0, the other not, so a0 != a1): the fraction of each above 0
@@ -270,11 +271,13 @@ class HalfSpace(Cone):
 
     @staticmethod
     def _above(a0, a1, pos0, pos1):
-        # fractions above 0 of segments with end heights a0, a1 (above 0 at pos)
-        fr = pos1.astype(np.float64)
+        # fractions above 0 of segments with end heights a0, a1 (above 0 at
+        # pos), written over a1: no array besides the heights is as long
         i = np.flatnonzero(pos0 != pos1)
-        fr[i] = _crossing_fraction(a0[i], a1[i])
-        return fr
+        cross = _crossing_fraction(a0[i], a1[i])
+        a1[...] = pos1
+        a1[i] = cross
+        return a1
 
 
 class Orthant(Cone):
@@ -283,8 +286,6 @@ class Orthant(Cone):
     All-zero signs give the whole space (the degenerate full cone used
     by trivial baselines).
     """
-
-    _screen = None                  # every row takes the closed form, in blocks
 
     def __init__(self, signs):
         s = np.asarray(signs, dtype=np.float64)
@@ -300,9 +301,6 @@ class Orthant(Cone):
             return np.ones(V.shape[:-1], dtype=bool)
         act = self.signs[self._active] * V[..., self._active]
         return np.all(act > 0.0, axis=-1)
-
-    def segment_fraction(self, P0, P1):
-        return _by_blocks(self, P0, P1)
 
     def _fractions(self, P0, P1):
         if len(self._active) == 0:
@@ -345,12 +343,6 @@ class AngularCone(Cone):
     def contains(self, V):
         (V,) = _into_band(np.asarray(V))
         return _dot(V, self.axis) > self.cos_threshold * _norm(V)
-
-    def segment_fraction(self, P0, P1):
-        return _by_blocks(self, P0, P1)
-
-    def path_fractions(self, V, known=None, ends=True):
-        return (Cone.path_fractions if self._screen is None else _by_path)(self, V, ends=ends)
 
     def _points(self, V):
         # the screen's inputs: each point's heights over K's two faces
@@ -418,10 +410,8 @@ class BallWindow:
     def contains(self, V):
         return _norm(V) < self.M
 
-    def segment_fraction(self, P0, P1):
-        return _by_blocks(self, P0, P1)
-
-    path_fractions = _by_path
+    segment_fraction = Cone.segment_fraction
+    path_fractions = Cone.path_fractions
     _points = staticmethod(_norm)           # the screen's inputs: each point's norm
 
     def _screen(self, P0, P1, n0, n1, m):

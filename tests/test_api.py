@@ -142,3 +142,9 @@ def test_cone_dot_products_go_through_one_helper():
     found = list(dot_products(parse(PACKAGE / "cones.py")))
     assert "_dot" in {where for where, _ in found}
     assert [(w, line) for w, line in found if w not in DOT_SITES] == []
+
+
+def test_the_crossing_rule_lives_in_cones():
+    # one rule splits a segment at its crossing; the Brownian sampler reads
+    # its paths through the cone kernels instead of a copy of it
+    assert references("_crossing_fraction") == ["cones.py"]

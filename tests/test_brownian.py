@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclelab as cl
-from cocyclelab import Complement, HalfSpace
+from cocyclelab import AngularCone, Complement, HalfSpace
+from cocyclelab import brownian as br
 from cocyclelab.brownian import _check_step, _rng, ks_2samp_statistic, ks_statistic, normal_cdf
 
 HALF_LINE = HalfSpace([1.0])
@@ -201,19 +202,26 @@ def one_shot_tau_samples(cone, t, h, samples, seed=0, batch=10_000):
     (cl.AngularCone([1.0, 0.0, 0.0], 0.5), 1e-3, 150, 100),
     (cl.parse_cone("orthant:1,-1"), 1e-3, 100, 40),
     (cl.parse_cone("full:2"), 1e-2, 50, 7),
+    (Complement(AngularCone([1.0, 0.0], 1.5)), 1e-3, 150, 100),   # non-convex inner cone
+    (AngularCone([1.0, 0.0], 0.5), 1e-5, 3, 10_000),   # one path a row block, no separator
 ])
-def test_row_blocks_match_one_shot_batches(cone, h, samples, batch):
-    got = cl.tau_samples(cone, 1.0, h, samples, seed=5, batch=batch)
+def test_row_blocks_match_one_shot_batches(monkeypatch, cone, h, samples, batch):
+    monkeypatch.setattr(br, "BATCH", batch)
+    got = cl.tau_samples(cone, 1.0, h, samples, seed=5)
     assert np.array_equal(got, one_shot_tau_samples(cone, 1.0, h, samples, 5, batch))
 
 
-def test_repeated_calls_equal_fresh_calls():
+def test_repeated_calls_equal_fresh_calls(monkeypatch):
     # each call draws into buffers of its own: a call between two others, or
     # the same call again, leaves every result as a fresh call gives it
+    def sample(c, h, n, b):
+        monkeypatch.setattr(br, "BATCH", b)
+        return cl.tau_samples(c, 1.0, h, n, seed=8)
+
     calls = [(HALF_LINE, 1e-3, 131, 60), (cl.AngularCone([1.0, 0.0], 0.5), 1e-3, 70, 30),
              (HalfSpace([0.6, 0.8]), 1e-2, 90, 10_000)]
-    first = [cl.tau_samples(c, 1.0, h, n, seed=8, batch=b) for c, h, n, b in calls]
-    again = [cl.tau_samples(c, 1.0, h, n, seed=8, batch=b) for c, h, n, b in calls[::-1]]
+    first = [sample(*call) for call in calls]
+    again = [sample(*call) for call in calls[::-1]]
     for (c, h, n, b), x, y in zip(calls, first, again[::-1]):
         assert x.tobytes() == y.tobytes()
         assert x.tobytes() == one_shot_tau_samples(c, 1.0, h, n, 8, b).tobytes()
@@ -223,30 +231,31 @@ def test_repeated_calls_equal_fresh_calls():
     (lambda: cl.tau_samples(HALF_LINE, 1.0, 1e-3, 0), "samples"),
     (lambda: cl.tau_samples(HALF_LINE, 1.0, 1e-3, -1), "samples"),
     (lambda: cl.tau_samples(cl.AngularCone([1.0, 0.0], 0.5), 1.0, 1e-3, 0), "samples"),
-    (lambda: cl.tau_samples(HALF_LINE, 1.0, 1e-3, 10, batch=0), "batch"),
-    (lambda: cl.tau_samples(cl.AngularCone([1.0, 0.0], 0.5), 1.0, 1e-3, 10, batch=-2),
-     "batch"),
     (lambda: cl.positivity_check(HALF_LINE, 0.1, 0), "samples"),
     (lambda: cl.scale_invariance_check(HALF_LINE, 1.0, 2.0, 0), "samples"),
-], ids=["zero", "negative", "zero-angular", "batch-zero", "batch-negative",
-        "positivity", "scale-invariance"])
+], ids=["zero", "negative", "zero-angular", "positivity", "scale-invariance"])
 def test_empty_sample_counts_are_config_errors(call, field):
     with pytest.raises(cl.ConfigInvalid) as err:
         call()
     assert err.value.field == field
 
 
-def test_sampler_memory_is_flat_in_sample_count():
+@pytest.mark.parametrize("cone, n, mb", [(HALF_LINE, 2_000, 3),
+                                         (AngularCone([1.0, 0.0], 0.5), 500, 5)],
+                         ids=["half-line", "angular"])
+def test_sampler_memory_is_flat_in_sample_count(cone, n, mb):
+    # a row block's buffers and the kernel's temporaries, twice as wide in
+    # the plane as on the half-line's 1-D stream
     def peak(n):
         tracemalloc.start()
         try:
-            cl.tau_samples(HALF_LINE, 1.0, 1e-3, n, seed=3)
+            cl.tau_samples(cone, 1.0, 1e-3, n, seed=3)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    small, large = peak(2_000), peak(20_000)
-    assert large < 3 * 2**20
+    small, large = peak(n), peak(10 * n)
+    assert large < mb * 2**20
     assert large / small <= 1.2
 
 

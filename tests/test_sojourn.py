@@ -27,7 +27,8 @@ def hand_trace(points) -> cl.CocycleTrace:
 
 def interpolated_value(trace: cl.CocycleTrace, n: int, s) -> np.ndarray:
     """W_n(s); vectorized over s. s = k/n returns S_k exactly."""
-    P0, P1 = so._segments(trace, n)
+    V = so._walk(trace, n)
+    P0, P1 = V[:-1], V[1:]
     s = np.asarray(s, dtype=np.float64)
     if np.any((s < 0.0) | (s > 1.0)):
         raise cl.ConfigInvalid("s", "need 0 <= s <= 1")
@@ -183,7 +184,8 @@ def sojourn_series_before(trace, cone, grid=None):
     if len(ns) == 0 or ns.min() < 1 or ns.max() > trace.N:
         raise cl.ConfigInvalid("grid", "grid horizons must lie in [1, N]")
     top = int(ns.max())
-    P0, P1 = so._segments(trace, top)
+    V = so._walk(trace, top)
+    P0, P1 = V[:-1], V[1:]
     frac_cum = np.cumsum(cone.segment_fraction(P0, P1))
     disc_cum = np.cumsum(cone.contains(P1).astype(np.float64))
     taus = frac_cum[ns - 1] / ns
@@ -278,6 +280,34 @@ def test_orthant_tau_temporaries_are_bounded_by_the_block(text):
     want = cone.segment_fraction(tr.values[:-1], tr.values[1:]).mean()
     assert peak(lambda: cl.tau(tr, n, cone)) / n < 24
     assert cl.tau(tr, n, cone) == float(want)
+
+
+def normal_walk(d: int, n: int, seed: int) -> np.ndarray:
+    return np.cumsum(np.random.default_rng(seed).standard_normal((n + 1, d)), axis=0)
+
+
+@pytest.mark.parametrize("text", ["halfspace:0,1", "angular:1,0,0.5", "orthant:1,-1",
+                                  "!angular:1,0,0.5"])
+def test_tau_discrete_counts_by_the_block(text):
+    # the points inside are counted ROWS at a time, with the bytes of one
+    # mean over all of them (which held 9 to 32 bytes a step at once)
+    cone = cl.parse_cone(text, 2)
+    tr = hand_trace(normal_walk(2, 1 << 18, 4))
+    assert peak(lambda: cl.tau_discrete(tr, tr.N, cone)) < 64 * ROWS
+    for n in (1, 5, ROWS, ROWS + 1, 3 * ROWS + 7, tr.N):
+        assert cl.tau_discrete(tr, n, cone) == float(cone.contains(tr.values[1:n + 1]).mean())
+
+
+@pytest.mark.parametrize("text, d", [("orthant:1,-1", 2), ("angular:1,0,0,0.5", 3)])
+def test_unscreened_path_kernels_are_bounded_by_the_block(text, d):
+    # a kernel with no screen takes its closed form and its end membership
+    # ROWS segments at a time: besides the 9 bytes a segment it returns, it
+    # holds one block's temporaries (membership over the whole walk held 32
+    # to 40 bytes a segment)
+    cone = cl.parse_cone(text, d)
+    n = 1 << 19
+    V = normal_walk(d, n, 6)
+    assert peak(lambda: cone.path_fractions(V)) < 9 * n + 256 * ROWS
 
 
 def trace_2d(n=40):

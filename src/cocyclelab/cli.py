@@ -36,8 +36,6 @@ from .engine import ergodic_sums
 from .errors import CocycleLabError, ConfigInvalid
 from .observables import parse_observable
 
-OPERATIONS = ("trace", "induce", "directions", "filling", "sojourn",
-              "brownian", "accept")
 WRITE_ROWS = 1 << 14       # CSV rows encoded per write
 
 

@@ -388,12 +388,15 @@ class Complement(Cone):
     def contains(self, V):
         return ~self.inner.contains(V)
 
+    # 1 - fr and the negated membership, written over the inner kernel's arrays
     def segment_fraction(self, P0, P1):
-        return 1.0 - self.inner.segment_fraction(P0, P1)
+        fr = self.inner.segment_fraction(P0, P1)
+        return np.subtract(1.0, fr, out=fr)
 
     def path_fractions(self, V, known=None, ends=True):
         fr, inside = self.inner.path_fractions(V, ends=ends)
-        return 1.0 - fr, None if inside is None else ~inside
+        np.subtract(1.0, fr, out=fr)
+        return fr, None if inside is None else np.logical_not(inside, out=inside)
 
     def complement(self) -> Cone:
         return self.inner

@@ -311,7 +311,7 @@ def _scan_seed(system: SystemSpec, obs: ObservableSpec, seed, N: int, mesh: Sphe
         above = np.zeros((len(ladder) + 1, mesh.K), dtype=np.int64)
     cells, norms = rows
     last, kept = np.zeros(obs.d), 0
-    for S in _sweep(system, obs, sample_initial(system, seed), N, 1):
+    for _, _, S in _sweep(system, obs, sample_initial(system, seed), N, 1):
         c, r = _cells_and_norms(S, mesh, out=(cells[kept:], norms[kept:]))
         if ladder is None:
             kept += len(c)

@@ -14,9 +14,13 @@ added before rounding to float64, which keeps indicator-heavy sums well
 inside the 1e-9 identity tolerances at N = 10^6. On a lattice both
 routes give the exact sums, so they write the same bytes.
 
-One block loop, `_sweep`, yields each block's sums in turn: a trace
-writes them into its own rows, and a fold that keeps no trace (the
-direction scan) reads them from one reused block buffer.
+One block loop, `_sweep`, walks every orbit. It yields each block's
+orbit span and sums: a trace writes the sums into its own rows, the
+direction scan folds them from one reused buffer, and a return-time scan
+(`induce`) tests the span for its set and reads the sums at the returns.
+Traces and scans run 65536-step blocks, return-time scans 8192-step ones.
+A longdouble block adds its carry to a block-local cumsum, so a
+non-lattice induced sum may differ in its last bits from `ergodic_sums`.
 
 A trace stores no orbit states. States are plain values and increments a
 pure function of (key, index), so `state_at` reaches any step directly: the
@@ -103,21 +107,28 @@ def _check(system: SystemSpec, obs: ObservableSpec, N: int) -> None:
     obs.validate_for(system)
 
 
-def _sweep(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,
-           sign: int, values: np.ndarray | None = None):
-    # the one block loop of both directions: step k adds phi(T^{k-1} x) for
-    # sign +1 and -phi(T^{-k} x) for sign -1. Yields S per block: S_{done+1}
-    # .. S_m, written into values[done+1:m+1], or, when values is None, into
-    # one (BLOCK, d) buffer that the next block reuses. The caller runs _check first
-    buf = np.empty((min(N, BLOCK), obs.d)) if values is None else None
-    carry = np.zeros(obs.d, dtype=np.longdouble)
-    for done in range(0, N, BLOCK):
-        m = min(done + BLOCK, N)   # this block covers steps done+1 .. m
+def _sweep(system: SystemSpec, obs: ObservableSpec | None, state0: SystemState, N: int,
+           sign: int, values: np.ndarray | None = None, block: int = BLOCK):
+    # the one orbit block loop, both directions: step k adds phi(T^{k-1} x)
+    # for sign +1 and -phi(T^{-k} x) for sign -1. Yields (done, data, S) per
+    # block of steps done+1 .. m: data the orbit span of steps done .. m and
+    # phi's lookahead, S the sums S_{done+1} .. S_m in values[done+1:m+1] or,
+    # when values is None, in one (block, d) buffer that the next block
+    # reuses; with obs None, S is None and nothing is evaluated. The caller runs _check first
+    ext = 1 if obs is None else max(1, obs.lookahead)
+    if obs is not None:
+        buf = np.empty((min(N, block), obs.d)) if values is None else None
+        carry = np.zeros(obs.d, dtype=np.longdouble)
+    S = None
+    for done in range(0, N, block):
+        m = min(done + block, N)
         lo, hi = (done, m - 1) if sign > 0 else (-m, -done - 1)
-        phi = obs.evaluate(orbit_span(system, state0, lo, hi + obs.lookahead), lo, hi)
-        S = values[done + 1:m + 1] if buf is None else buf[:m - done]
-        carry = _accumulate(phi if sign > 0 else -phi[::-1], carry, S, _exact(obs, m))
-        yield S
+        data = orbit_span(system, state0, lo, hi + ext)
+        if obs is not None:
+            phi = obs.evaluate(data, lo, hi)
+            S = values[done + 1:m + 1] if buf is None else buf[:m - done]
+            carry = _accumulate(phi if sign > 0 else -phi[::-1], carry, S, _exact(obs, m))
+        yield done, data, S
 
 
 def _trace(system: SystemSpec, obs: ObservableSpec, state0: SystemState, N: int,

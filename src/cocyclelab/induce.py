@@ -2,9 +2,9 @@
 
 A target set B is an interval of [0,1), a rectangle of the 2-torus, or
 a positive-coordinate cylinder on the shift's increment at the current
-index. Return-time scans stream the orbit in blocks and never run past
-an explicit cap: a missing return inside the cap raises CapExceeded
-rather than looping.
+index. Return-time scans read the engine's block loop, `_sweep`, in
+blocks of BLOCK steps, and never run past an explicit cap: a missing
+return inside the cap raises CapExceeded rather than looping.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _accumulate, _exact
+from .engine import _sweep
 from .errors import CapExceeded, ConfigInvalid
 from .observables import ObservableSpec
 from .systems import (OrbitData, SystemSpec, SystemState, orbit_span, sample_initial,
@@ -127,40 +127,27 @@ def _scan_returns(system, B, state, n_returns, cap, obs=None):
     """Stream the orbit, yielding return indices (and sums at them).
 
     obs: None, or the observable whose partial sums are also recorded
-    at the returns. Returns (return_times, values or None).
+    at the returns. Returns (return_times, values or None). With no gap
+    above cap the last return is at most n_returns * cap: N is one step past.
     """
     rt = np.empty(n_returns, dtype=np.int64)
     vals = np.zeros((n_returns + 1, obs.d)) if obs is not None else None
-    carry = np.zeros(obs.d, dtype=np.longdouble) if obs is not None else None
-    found = 0
-    last = 0
-    a = 1
-    while found < n_returns:
-        b = a + BLOCK - 1
-        ext = max(1, obs.lookahead) if obs is not None else 0
-        data = orbit_span(system, state, a - 1 if obs is not None else a, b + ext)
-        mask = B.contains(data, a, b)
-        if obs is not None:
-            phi = obs.evaluate(data, a - 1, b - 1)        # rows k = a-1 .. b-1
-            sums = np.empty_like(phi)
-            carry = _accumulate(phi, carry, sums, _exact(obs, b))
-        hits = np.flatnonzero(mask)
-        if len(hits):
-            js = a + hits
-            gaps = np.diff(js, prepend=last)
-            bad = np.flatnonzero(gaps > cap)
-            take = min(len(js), n_returns - found)
-            if len(bad) and bad[0] < take:
-                raise CapExceeded(cap)
-            rt[found:found + take] = js[:take]
-            if obs is not None:
-                vals[found + 1:found + 1 + take] = sums[hits[:take]]
-            found += take
-            last = int(js[take - 1])
-        if found < n_returns and (b - last) > cap:
+    found = last = 0
+    N = n_returns * cap + 1
+    for done, data, S in _sweep(system, obs, state, N, 1, block=BLOCK):
+        m = min(done + BLOCK, N)
+        js = done + 1 + np.flatnonzero(B.contains(data, done + 1, m))[:n_returns - found]
+        if np.any(np.diff(js, prepend=last) > cap):
             raise CapExceeded(cap)
-        a = b + 1
-    return rt, vals
+        rt[found:found + len(js)] = js
+        if S is not None:
+            vals[found + 1:found + 1 + len(js)] = S[js - done - 1]
+        found += len(js)
+        last = int(js[-1]) if len(js) else last
+        if found == n_returns:
+            return rt, vals
+        if m - last > cap:
+            raise CapExceeded(cap)
 
 
 def return_time(system: SystemSpec, B: SetSpec, state: SystemState, cap: int) -> int:

@@ -270,7 +270,7 @@ def _finite(value) -> float:
     return float(value)
 
 
-class _Builder(ast.NodeVisitor):
+class _Builder:
     """Restricted ast -> Node translation; everything else is ConfigInvalid."""
 
     def build(self, node) -> Node:

@@ -148,3 +148,9 @@ def test_the_crossing_rule_lives_in_cones():
     # one rule splits a segment at its crossing; the Brownian sampler reads
     # its paths through the cone kernels instead of a copy of it
     assert references("_crossing_fraction") == ["cones.py"]
+
+
+def test_sums_accumulate_in_the_engine_only():
+    # one block loop: the return-time scans read engine._sweep, so no other
+    # module carries a copy of the accumulation or its lattice test
+    assert references("_accumulate") == references("_exact") == ["engine.py"]

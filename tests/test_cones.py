@@ -502,6 +502,30 @@ def test_ball_kernel_temporaries_are_bounded_by_the_block():
     assert peak / n < 24
 
 
+def test_complement_writes_over_its_inner_kernels_arrays():
+    # the complement's fractions and membership are 1 - fr and ~inside of its
+    # inner kernel, bytes included, written over the inner kernel's arrays:
+    # past the outputs' 9 bytes a segment the peak holds only the kernel's
+    # block temporaries, about 1.1 MB at any length (2^18 segments peaked at
+    # 18 bytes each when the complement copied both outputs, 13.2 now)
+    n = 1 << 18
+    P = np.cumsum(np.random.default_rng(5).standard_normal((n + 1, 2)), axis=0)
+    cone = cl.parse_cone("!angular:1,0,0.5")
+    fr, inside = cone.inner.path_fractions(P)
+    got, got_inside = cone.path_fractions(P)
+    assert got.tobytes() == (1.0 - fr).tobytes()
+    assert np.array_equal(got_inside, ~inside)
+    assert cone.segment_fraction(P[:-1], P[1:]).tobytes() == got.tobytes()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cone.path_fractions(P)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * n + (3 << 19)
+
+
 # Rows the screen must decide right, or leave to the closed form: ends a
 # hair inside or outside a boundary, segments through the apex or nearly
 # along a boundary ray, and every row scale the band treats apart. The

@@ -121,6 +121,80 @@ def test_a_kept_induced_trace_keeps_no_increment_cache():
     assert it.values[1:].tobytes() == tr.values[it.return_times].tobytes()
 
 
+# Return-time scans read the engine's block loop in blocks of 8192 steps. A
+# non-lattice block adds its longdouble carry to a block-local cumsum, so the
+# bytes of the induced sums depend on where blocks start.
+SCAN_BLOCK = 8192
+_ROT = cl.rotation("golden")
+_PAIR = cl.parse_observable("[frac-0.5,sin2pi(frac)]")
+
+
+def induce_reference(system, obs, state0, N, block=SCAN_BLOCK):
+    # S_0 .. S_N in blocks of `block` steps: a longdouble cumsum of each
+    # block plus the carry, rounded to float64
+    values = np.zeros((N + 1, obs.d))
+    carry = np.zeros(obs.d, dtype=np.longdouble)
+    for lo in range(0, N, block):
+        hi = min(lo + block, N) - 1
+        phi = obs.evaluate(cl.orbit_span(system, state0, lo, hi + max(1, obs.lookahead)), lo, hi)
+        s = np.cumsum(phi.astype(np.longdouble), axis=0) + carry
+        values[lo + 1:hi + 2], carry = s.astype(np.float64), s[-1]
+    return values
+
+
+def test_induced_sums_keep_their_block_length():
+    # a scan of six 8192-step blocks gives the reference loop's bytes; some
+    # of them differ in their last bits from ergodic_sums, which sums in blocks
+    # of engine.BLOCK steps
+    B = cl.interval(0.0, 0.01)
+    st0 = cl.first_entry(_ROT, B, cl.sample_initial(_ROT, 0), 1000)
+    it = cl.induced_trace(_ROT, _PAIR, B, st0, 500, 1000)
+    R = int(it.return_times[-1])
+    assert R > 6 * SCAN_BLOCK
+    want = induce_reference(_ROT, _PAIR, st0, R)
+    assert it.values[1:].tobytes() == want[it.return_times].tobytes()
+    tr = cl.ergodic_sums(_ROT, _PAIR, st0, R)
+    assert (it.values[1:] != tr.values[it.return_times]).any()
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_return_time_cap_edge_past_a_block(seed):
+    # a first return j past the first block: cap j finds it, cap j - 1 raises
+    B = cl.interval(0.0, 5e-5)
+    x = cl.sample_initial(_ROT, seed)
+    j = cl.return_time(_ROT, B, x, CAP)
+    assert j > cl.induce.BLOCK
+    assert cl.return_time(_ROT, B, x, j) == j
+    with pytest.raises(cl.CapExceeded):
+        cl.return_time(_ROT, B, x, j - 1)
+
+
+def test_induced_trace_cap_edge_at_its_largest_gap():
+    # gaps of 10946 to 28657 steps, each across a block edge: a cap at the
+    # largest gap keeps every byte, one step less raises
+    B = cl.interval(0.0, 5e-5)
+    st0 = cl.first_entry(_ROT, B, cl.sample_initial(_ROT, 0), CAP)
+    it = cl.induced_trace(_ROT, _PAIR, B, st0, 5, CAP)
+    gap = int(np.diff(it.return_times, prepend=0).max())
+    assert gap > 3 * cl.induce.BLOCK
+    capped = cl.induced_trace(_ROT, _PAIR, B, st0, 5, gap)
+    assert capped.return_times.tobytes() == it.return_times.tobytes()
+    assert capped.values.tobytes() == it.values.tobytes()
+    with pytest.raises(cl.CapExceeded):
+        cl.induced_trace(_ROT, _PAIR, B, st0, 5, gap - 1)
+
+
+@pytest.mark.parametrize("n", [2 * cl.induce.BLOCK + 5, 3 * cl.induce.BLOCK])
+def test_a_scan_may_end_at_its_bound(n):
+    # every step returns, so the n-th return is step n = n * cap, one step
+    # short of the scan's bound, in a short last block or at a block's end
+    st0 = cl.sample_initial(_ROT, 3)
+    it = cl.induced_trace(_ROT, _PAIR, cl.interval(0.0, 1.0), st0, n, 1)
+    assert np.array_equal(it.return_times, np.arange(1, n + 1))
+    assert it.values.tobytes() == induce_reference(_ROT, _PAIR, st0, n).tobytes()
+    assert cl.return_time(_ROT, cl.interval(0.0, 1.0), st0, 1) == 1
+
+
 def test_kac_whole_space_is_exact():
     mean, per_seed = cl.kac_statistic(cl.doubling(seed=1), cl.interval(0.0, 1.0),
                                       100, range(3))

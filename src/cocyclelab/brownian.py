@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .cones import Cone, HalfSpace
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, _whole
 
 _TAG = 179          # seed-space namespace for Brownian streams
 ROW_BLOCK = 1 << 16  # path steps drawn, summed and reduced at a time
@@ -50,6 +50,7 @@ def tau_samples(cone: Cone, t: float, h: float, samples: int, seed: int = 0) -> 
     _check_step(t, h)
     if samples < 1:
         raise ConfigInvalid("samples", "need at least one sample")
+    _whole("seed", seed, 0)
     steps = int(round(t / h))
     if isinstance(cone, HalfSpace):
         kernel, d, batch = _HALF_LINE, 1, BATCH

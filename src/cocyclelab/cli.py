@@ -3,10 +3,11 @@
 Subcommands mirror the library modules: trace, induce, directions,
 filling, sojourn, brownian, accept. A run is described by a JSON config
 (--config) overlaid with command-line flags; the merged config is
-schema-validated and then fingerprinted, and every CSV row carries the
-seed and fingerprint that produced it. Output bytes are a function of
-config + seed alone (summaries carry no timestamps), so identical runs
-diff clean.
+schema-validated and then fingerprinted. Each operation but accept
+returns its rows and summary fields, and `run` writes them: the CSV,
+every row led by the seed and fingerprint that produced it, and
+summary.json beside it. Output bytes are a function of config + seed
+alone (summaries carry no timestamps), so identical runs diff clean.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 on declared
 runtime errors such as a return-time cap overflow.
@@ -286,12 +287,12 @@ def _base_summary(cfg: dict, fp: str, **extra) -> dict:
     return out
 
 
-def _map_tasks(fn, payloads, jobs: int):
-    if jobs <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+def _map_tasks(fn, seeds: list, jobs: int) -> list:
+    if jobs <= 1 or len(seeds) <= 1:
+        return [fn(s) for s in seeds]
     from concurrent.futures import ProcessPoolExecutor     # only a pooled run pays for it
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as ex:
-        return list(ex.map(fn, payloads))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as ex:
+        return list(ex.map(fn, seeds))
 
 
 def _seed_list(cfg: dict) -> list:
@@ -302,8 +303,10 @@ def _seed_list(cfg: dict) -> list:
 
 
 # ------------------------------------------------------------- operations
+# Each operation returns its CSV header after seed,fingerprint, its rows as
+# (seed, columns) blocks and its summary fields; `run` writes them.
 
-def _op_trace(cfg: dict, fp: str) -> int:
+def _op_trace(cfg: dict):
     system = sy.parse_system(_require(cfg, "system"))
     obs = parse_observable(_require(cfg, "observable"))
     N = int(_param(cfg, "N", required=True))
@@ -311,17 +314,12 @@ def _op_trace(cfg: dict, fp: str) -> int:
     seed = cfg["seed"]
     # traces store no orbit states; the summary still echoes the setting
     tr = ergodic_sums(system, obs, sy.sample_initial(system, seed), N)
-    csv_path, sum_path = _resolve_out(cfg, "trace.csv")
-    header = ["seed", "fingerprint", "n"] + [f"phi_{j}" for j in range(obs.d)] + ["norm"]
-    cols = [seed, fp, np.arange(1, N + 1), *tr.values[1:].T, tr.norms[1:]]
-    n_rows = _write_csv(csv_path, header, [cols])
-    _write_summary(sum_path, _base_summary(
-        cfg, fp, rows=n_rows, d=obs.d, checkpoint_every=ce,
-        final_norm=float(tr.norms[N])))
-    return 0
+    header = ["n"] + [f"phi_{j}" for j in range(obs.d)] + ["norm"]
+    return header, [(seed, [np.arange(1, N + 1), *tr.values[1:].T, tr.norms[1:]])], \
+        dict(d=obs.d, checkpoint_every=ce, final_norm=float(tr.norms[N]))
 
 
-def _op_induce(cfg: dict, fp: str) -> int:
+def _op_induce(cfg: dict):
     system = sy.parse_system(_require(cfg, "system"))
     obs = parse_observable(_require(cfg, "observable"))
     set_text = _param(cfg, "set", required=True)
@@ -331,26 +329,18 @@ def _op_induce(cfg: dict, fp: str) -> int:
     seed = cfg["seed"]
     st = ind.first_entry(system, B, sy.sample_initial(system, seed), cap)
     it = ind.induced_trace(system, obs, B, st, n_returns, cap)
-    csv_path, sum_path = _resolve_out(cfg, "induce.csv")
-    header = ["seed", "fingerprint", "n", "R_n"] + \
-        [f"phiB_{j}" for j in range(obs.d)]
-    cols = [seed, fp, np.arange(1, n_returns + 1), it.return_times[:n_returns],
+    header = ["n", "R_n"] + [f"phiB_{j}" for j in range(obs.d)]
+    cols = [np.arange(1, n_returns + 1), it.return_times[:n_returns],
             *it.values[1:n_returns + 1].T]
-    n_rows = _write_csv(csv_path, header, [cols])
-    _write_summary(sum_path, _base_summary(
-        cfg, fp, rows=n_rows, set=set_text, cap=cap,
-        measure=B.measure, mean_return_time=float(it.return_times[-1]) / n_returns))
-    return 0
+    return header, [(seed, cols)], dict(
+        set=set_text, cap=cap, measure=B.measure,
+        mean_return_time=float(it.return_times[-1]) / n_returns)
 
 
-def _dir_task(payload: dict):
-    system = sy.parse_system(payload["system"])
-    obs = parse_observable(payload["observable"])
-    tr = ergodic_sums(system, obs, sy.sample_initial(system, payload["seed"]),
-                      payload["N"])
-    mesh = dr.make_mesh(obs.d)
-    h = dr.hist_from_trace(tr, mesh, payload["thresholds"])
-    verdict = (dr.recurrence_diagnostic(tr, payload["epsilon"]).verdict
+def _dir_task(system, obs, N: int, thresholds: list, epsilon: float, seed: int):
+    tr = ergodic_sums(system, obs, sy.sample_initial(system, seed), N)
+    h = dr.hist_from_trace(tr, dr.make_mesh(obs.d), thresholds)
+    verdict = (dr.recurrence_diagnostic(tr, epsilon).verdict
                if tr.N >= 1024 else "inconclusive")
     return h, verdict
 
@@ -366,7 +356,7 @@ def _cell_angles(mesh) -> np.ndarray:
     return np.column_stack([th, np.arccos(np.clip(c[:, 2], -1.0, 1.0))])
 
 
-def _op_directions(cfg: dict, fp: str) -> int:
+def _op_directions(cfg: dict):
     system = sy.parse_system(_require(cfg, "system"))
     obs = parse_observable(_require(cfg, "observable"))
     N = int(_param(cfg, "N", required=True))
@@ -379,10 +369,8 @@ def _op_directions(cfg: dict, fp: str) -> int:
         thresholds = dr.default_m_ladder(float(np.sqrt(N))).tolist()
     thresholds = [float(t) for t in thresholds]
     mesh = dr.make_mesh(obs.d)
-    payloads = [{"system": cfg["system"], "observable": obs.text, "N": N,
-                 "thresholds": thresholds, "epsilon": epsilon, "seed": s}
-                for s in seeds]
-    results = _map_tasks(_dir_task, payloads, cfg["jobs"])
+    results = _map_tasks(functools.partial(_dir_task, system, obs, N, thresholds, epsilon),
+                         seeds, cfg["jobs"])
 
     hist = dr.DirectionHistogram.empty(mesh, thresholds)
     for h, _ in results:
@@ -390,31 +378,21 @@ def _op_directions(cfg: dict, fp: str) -> int:
     est = dr.direction_set_estimate(hist, quorum)
 
     angles = _cell_angles(mesh)
-    csv_path, sum_path = _resolve_out(cfg, "directions.csv")
-    header = ["seed", "fingerprint", "threshold", "cell"] + \
-        [f"angle_{j}" for j in range(angles.shape[1])] + ["count"]
-
+    header = ["threshold", "cell"] + [f"angle_{j}" for j in range(angles.shape[1])] + ["count"]
     T = len(thresholds)
     grid = [np.repeat(np.asarray(thresholds), mesh.K), np.tile(np.arange(mesh.K), T),
             *np.tile(angles, (T, 1)).T]
-    n_rows = _write_csv(csv_path, header, [[s, fp, *grid, h.counts.ravel()]
-                                           for s, (h, _) in zip(seeds, results)])
     verdicts = [v for _, v in results]
-    _write_summary(sum_path, _base_summary(
-        cfg, fp, rows=n_rows, mesh={"d": mesh.d, "K": mesh.K},
-        thresholds=thresholds, quorum=quorum, epsilon=epsilon,
-        estimate_cells=[int(k) for k in est.cells],
+    return header, [(s, [*grid, h.counts.ravel()]) for s, (h, _) in zip(seeds, results)], dict(
+        mesh={"d": mesh.d, "K": mesh.K}, thresholds=thresholds, quorum=quorum,
+        epsilon=epsilon, estimate_cells=[int(k) for k in est.cells],
         estimate_angles=[[float(a) for a in angles[k]] for k in est.cells],
         coverage_per_threshold=[int(c) for c in (hist.counts > 0).sum(axis=1)],
-        recurrence={v: verdicts.count(v) for v in sorted(set(verdicts))}))
-    return 0
+        recurrence={v: verdicts.count(v) for v in sorted(set(verdicts))})
 
 
-def _filling_task(payload: dict):
-    system = sy.parse_system(payload["system"])
-    obs = parse_observable(payload["observable"])
-    st = sy.sample_initial(system, payload["seed"])
-    N = payload["N"]
+def _filling_task(system, obs, N: int, seed: int):
+    st = sy.sample_initial(system, seed)
     # the N+1-step trace behind mp holds the N-step trace as an exact prefix
     mp = fl.min_process(system, obs, st, N)
     m = mp.m[1:N + 1]
@@ -423,44 +401,30 @@ def _filling_task(payload: dict):
     return m, np.abs(m - m_rec), mp.decomposition_residual()
 
 
-def _op_filling(cfg: dict, fp: str) -> int:
+def _op_filling(cfg: dict):
     N = int(_param(cfg, "N", required=True))
     seeds = _seed_list(cfg)
-    payloads = [{"system": _require(cfg, "system"),
-                 "observable": _require(cfg, "observable"), "N": N, "seed": s}
-                for s in seeds]
-    parse_observable(cfg["observable"])          # fail fast before the pool
-    sy.parse_system(cfg["system"])
-    results = _map_tasks(_filling_task, payloads, cfg["jobs"])
-    csv_path, sum_path = _resolve_out(cfg, "filling.csv")
-    header = ["seed", "fingerprint", "n", "m_n", "residual"]
-
+    system, text = _require(cfg, "system"), _require(cfg, "observable")
+    obs = parse_observable(text)                 # checked before the system
+    results = _map_tasks(functools.partial(_filling_task, sy.parse_system(system), obs, N),
+                         seeds, cfg["jobs"])
     n = np.arange(1, N + 1)
-    n_rows = _write_csv(csv_path, header, [[s, fp, n, m, resid]
-                                           for s, (m, resid, _) in zip(seeds, results)])
-    _write_summary(sum_path, _base_summary(
-        cfg, fp, rows=n_rows,
-        max_route_residual=float(max(r.max() for _, r, _ in results)),
-        max_decomposition_residual=float(max(f for _, _, f in results))))
-    return 0
+    return ["n", "m_n", "residual"], [(s, [n, m, r]) for s, (m, r, _) in zip(seeds, results)], \
+        dict(max_route_residual=float(max(r.max() for _, r, _ in results)),
+             max_decomposition_residual=float(max(f for _, _, f in results)))
 
 
-def _sojourn_task(payload: dict):
-    system = sy.parse_system(payload["system"])
-    obs = parse_observable(payload["observable"])
-    cone = parse_cone(payload["cone"], obs.d)
-    tr = ergodic_sums(system, obs, sy.sample_initial(system, payload["seed"]),
-                      payload["N"])
-    ser = so.sojourn_series(tr, cone, grid=payload["grid"])
+def _sojourn_task(system, obs, cone, N: int, grid, M: float, seed: int):
+    tr = ergodic_sums(system, obs, sy.sample_initial(system, seed), N)
+    ser = so.sojourn_series(tr, cone, grid=grid)
     # one ball pass up to the top horizon; each horizon takes a prefix mean
     top = int(ser.ns.max())
-    fr, _ = BallWindow(payload["M"]).path_fractions(tr.values[:top + 1], tr.norms[:top + 1],
-                                                    ends=False)
+    fr, _ = BallWindow(M).path_fractions(tr.values[:top + 1], tr.norms[:top + 1], ends=False)
     ball = np.array([fr[:n].mean() for n in ser.ns])
     return ser.ns, ser.tau, ser.tau_disc, ball
 
 
-def _op_sojourn(cfg: dict, fp: str) -> int:
+def _op_sojourn(cfg: dict):
     N = int(_param(cfg, "N", required=True))
     cone_text = _param(cfg, "cone", required=True)
     grid = _param(cfg, "grid", "dyadic")
@@ -468,41 +432,26 @@ def _op_sojourn(cfg: dict, fp: str) -> int:
     M = float(_param(cfg, "M", 10.0))
     seeds = _seed_list(cfg)
     obs = parse_observable(_require(cfg, "observable"))
-    sy.parse_system(_require(cfg, "system"))
-    parse_cone(cone_text, obs.d)
-    payloads = [{"system": cfg["system"], "observable": obs.text, "N": N,
-                 "cone": cone_text, "grid": grid_list, "M": M, "seed": s}
-                for s in seeds]
-    results = _map_tasks(_sojourn_task, payloads, cfg["jobs"])
-    csv_path, sum_path = _resolve_out(cfg, "sojourn.csv")
-    header = ["seed", "fingerprint", "n", "tau", "tau_discrete", "ball_freq"]
-
-    n_rows = _write_csv(csv_path, header, [[s, fp, *r] for s, r in zip(seeds, results)])
+    system = sy.parse_system(_require(cfg, "system"))
+    cone = parse_cone(cone_text, obs.d)
+    results = _map_tasks(functools.partial(_sojourn_task, system, obs, cone, N, grid_list, M),
+                         seeds, cfg["jobs"])
     hi = [float(t.max()) for _, t, _, _ in results]
     lo = [float(t.min()) for _, t, _, _ in results]
-    _write_summary(sum_path, _base_summary(
-        cfg, fp, rows=n_rows, cone=cone_text, grid=grid, ball_radius=M,
-        running_max=hi, running_min=lo,
-        extreme_rate=float(np.mean([(a >= 0.9) and (b <= 0.1)
-                                    for a, b in zip(hi, lo)]))))
-    return 0
+    return ["n", "tau", "tau_discrete", "ball_freq"], list(zip(seeds, results)), dict(
+        cone=cone_text, grid=grid, ball_radius=M, running_max=hi, running_min=lo,
+        extreme_rate=float(np.mean([(a >= 0.9) and (b <= 0.1) for a, b in zip(hi, lo)])))
 
 
-def _op_brownian(cfg: dict, fp: str) -> int:
+def _op_brownian(cfg: dict):
     cone_text = _param(cfg, "cone", required=True)
     t = float(_param(cfg, "t", 1.0))
     h = float(_param(cfg, "h", 1e-3))
     samples = int(_param(cfg, "samples", required=True))
     seed = cfg["seed"]
-    cone = parse_cone(cone_text)
-    taus = br.tau_samples(cone, t, h, samples, seed=seed)
-    csv_path, sum_path = _resolve_out(cfg, "brownian.csv")
-    n_rows = _write_csv(csv_path, ["seed", "fingerprint", "i", "tau"],
-                        [[seed, fp, np.arange(samples), taus]])
-    _write_summary(sum_path, _base_summary(
-        cfg, fp, rows=n_rows, cone=cone_text, t=t, h=h, samples=samples,
-        mean_tau=float(taus.mean())))
-    return 0
+    taus = br.tau_samples(parse_cone(cone_text), t, h, samples, seed=seed)
+    return ["i", "tau"], [(seed, [np.arange(samples), taus])], dict(
+        cone=cone_text, t=t, h=h, samples=samples, mean_tau=float(taus.mean()))
 
 
 def _op_accept(cfg: dict, fp: str) -> int:
@@ -519,16 +468,26 @@ def _op_accept(cfg: dict, fp: str) -> int:
     return 0
 
 
-_DISPATCH = {"trace": _op_trace, "induce": _op_induce,
-             "directions": _op_directions, "filling": _op_filling,
-             "sojourn": _op_sojourn, "brownian": _op_brownian,
-             "accept": _op_accept}
+_DISPATCH = {"trace": _op_trace, "induce": _op_induce, "directions": _op_directions,
+             "filling": _op_filling, "sojourn": _op_sojourn, "brownian": _op_brownian}
 
 
 def run(cfg: dict) -> int:
-    """Validate and execute a fully-assembled config."""
+    """Validate and execute a fully-assembled config.
+
+    Every operation but accept writes <operation>.csv, each row led by
+    its seed and the config fingerprint, and summary.json beside it.
+    """
     validate_config(cfg)
-    return _DISPATCH[cfg["operation"]](cfg, config_fingerprint(cfg))
+    op, fp = cfg["operation"], config_fingerprint(cfg)
+    if op == "accept":
+        return _op_accept(cfg, fp)
+    header, blocks, fields = _DISPATCH[op](cfg)
+    csv_path, summary_path = _resolve_out(cfg, f"{op}.csv")
+    rows = _write_csv(csv_path, ["seed", "fingerprint", *header],
+                      [[seed, fp, *cols] for seed, cols in blocks])
+    _write_summary(summary_path, _base_summary(cfg, fp, rows=rows, **fields))
+    return 0
 
 
 # ------------------------------------------------------------------ argv

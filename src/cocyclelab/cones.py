@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, _whole
 
 ROWS = 1 << 14          # segments per kernel block: temporaries stay in cache
 BAND = (2.0 ** -40, 2.0 ** 200)     # row scales taken as given (else moved, or not screened)
@@ -291,6 +291,8 @@ class Orthant(Cone):
         s = np.asarray(signs, dtype=np.float64)
         if s.ndim != 1 or not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
             raise ConfigInvalid("cone", "orthant signs must be -1, 0 or 1")
+        if not len(s):
+            raise ConfigInvalid("cone", "an orthant needs at least one sign")
         self.signs = s
         self.d = len(s)
         self._active = np.flatnonzero(s != 0.0)
@@ -467,7 +469,7 @@ def parse_cone(text: str, d: int | None = None) -> Cone:
                 raise ConfigInvalid("cone", "angular needs d axis components + aperture")
             cone = AngularCone(nums[:-1], nums[-1])
         elif kind == "full":
-            cone = Orthant([0.0] * int(nums[0] if nums else (d or 2)))
+            cone = Orthant([0.0] * _whole("cone", nums[0] if nums else (d or 2), 1))
     except ConfigInvalid:
         raise
     except (ValueError, TypeError):

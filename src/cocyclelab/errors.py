@@ -37,3 +37,10 @@ class ConfigInvalid(CocycleLabError):
 
     def __reduce__(self):
         return type(self), (self.field, self.message)
+
+
+def _whole(field: str, x, least: int) -> int:
+    """x as an int, refused unless it is a whole number >= least."""
+    if isinstance(x, float) and not x.is_integer() or x < least:
+        raise ConfigInvalid(field, f"{x!r} is not a whole number >= {least}")
+    return int(x)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _sweep
-from .errors import CapExceeded, ConfigInvalid
+from .errors import CapExceeded, ConfigInvalid, _whole
 from .observables import ObservableSpec
 from .systems import (OrbitData, SystemSpec, SystemState, orbit_span, sample_initial,
                       state_at)
@@ -45,8 +45,7 @@ class SetSpec:
         elif self.kind == "cylpos":
             # {increment coordinate > 0}: measure 1/2 for the symmetric laws
             (coord,) = self.params
-            if coord < 0:
-                raise ConfigInvalid("set", "cylinder coordinate must be >= 0")
+            object.__setattr__(self, "params", (_whole("set", coord, 0),))
             if self.measure is None:
                 object.__setattr__(self, "measure", 0.5)
         else:
@@ -86,7 +85,7 @@ def rect(a, b, c, e, measure: float | None = None) -> SetSpec:
 
 
 def cylinder_positive(coord: int = 0, measure: float | None = None) -> SetSpec:
-    return SetSpec("cylpos", (int(coord),), measure)
+    return SetSpec("cylpos", (coord,), measure)
 
 
 def parse_set(text: str) -> SetSpec:
@@ -99,7 +98,7 @@ def parse_set(text: str) -> SetSpec:
         if kind == "rect":
             return rect(*nums)
         if kind == "cylpos":
-            return cylinder_positive(int(nums[0]) if nums else 0)
+            return cylinder_positive(nums[0] if nums else 0)
     except (ValueError, TypeError):
         pass
     raise ConfigInvalid("set", f"cannot parse set {text!r}")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, _whole
 from .systems import LAWS, OrbitData, SystemSpec
 
 
@@ -339,10 +339,10 @@ class _Builder:
             law = node.args[0].id
             if law not in LAWS:
                 raise ConfigInvalid("observable", f"unknown law {law!r}")
-            d = int(self._number(kw["d"])) if "d" in kw else 1
+            d = self._number(kw["d"]) if "d" in kw else 1
             if set(kw) - {"d"}:
                 raise ConfigInvalid("observable", "iid takes (law, d=k)")
-            return Iid(law, d)
+            return Iid(law, _whole("observable", d, 1))
         if name == "cobdrift":
             if node.args or set(kw) != {"h", "c"}:
                 raise ConfigInvalid("observable", "cobdrift takes (h=expr, c=[..])")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigInvalid, NotInvertible
+from .errors import ConfigInvalid, NotInvertible, _whole
 
 KINDS = ("rotation", "doubling", "cat-map", "iid-shift")
 LAWS = ("rademacher", "gaussian", "cauchy")
@@ -221,7 +221,7 @@ class OrbitData:
 
 def sample_initial(system: SystemSpec, seed: int) -> SystemState:
     """Draw an initial state from the invariant measure, deterministically."""
-    key = (system.seed, seed)
+    key = (_whole("system.seed", system.seed, 0), _whole("seed", seed, 0))
     rng = np.random.default_rng(key)
     if system.kind == "rotation":
         x0 = rng.random()

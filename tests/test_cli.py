@@ -1,5 +1,6 @@
 """Command-line runner: outputs, determinism, exit codes, config validation."""
 
+import ast
 import copy
 import hashlib
 import json
@@ -69,18 +70,26 @@ def test_same_config_same_bytes(tmp_path):
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
-def test_parallel_jobs_do_not_change_output(tmp_path):
-    cfg = write_config(tmp_path, {
-        "system": {"kind": "iid-shift", "law": "rademacher", "d": 2},
-        "observable": "iid(rademacher, d=2)",
-        "parameters": {"N": 2000, "seeds": 3},
-    })
+_POOLED = {
+    "directions": ({"kind": "iid-shift", "law": "rademacher", "d": 2}, "iid(rademacher, d=2)",
+                   {}),
+    "filling": ({"kind": "rotation", "alpha": "golden"}, "indicator(0.0,0.5)-0.5", {}),
+    "sojourn": ({"kind": "iid-shift", "law": "gaussian", "d": 2}, "iid(gaussian, d=2)",
+                {"cone": "!angular:1,0,0.5"}),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_POOLED))
+def test_parallel_jobs_do_not_change_output(tmp_path, op):
+    # the worker processes receive the parsed specs by pickle
+    system, obs, params = _POOLED[op]
+    cfg = write_config(tmp_path, {"system": system, "observable": obs,
+                                  "parameters": {"N": 2000, "seeds": 3, **params}})
     out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-    assert cli.main(["directions", "--config", cfg, "--out", str(out1), "--jobs", "1"]) == 0
-    assert cli.main(["directions", "--config", cfg, "--out", str(out2), "--jobs", "3"]) == 0
-    csv1, = out1.glob("*.csv")
-    csv2, = out2.glob("*.csv")
-    assert csv1.read_bytes() == csv2.read_bytes()
+    assert cli.main([op, "--config", cfg, "--out", str(out1), "--jobs", "1"]) == 0
+    assert cli.main([op, "--config", cfg, "--out", str(out2), "--jobs", "2"]) == 0
+    for name in (f"{op}.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_env_seed_equals_flag_seed(tmp_path, monkeypatch):
@@ -193,6 +202,43 @@ def test_numbers_in_cone_and_observable_strings_must_be_finite(tmp_path, capsys,
     out = tmp_path / "o"
     assert cli.main(argv + ["--jobs", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, text", [
+    ("observable", "iid(gaussian,d=2.5)"), ("observable", "iid(gaussian,d=0)"),
+    ("observable", "iid(gaussian,d=-1)"), ("cone", "full:2.5"), ("cone", "full:0"),
+    ("cone", "full:-1"), ("cone", "orthant:"), ("set", "cylpos:1.7"), ("set", "cylpos:-0.5"),
+])
+def test_spec_dimensions_and_coordinates_must_be_whole(tmp_path, capsys, field, text):
+    parse = {"observable": cocyclelab.parse_observable, "cone": cocyclelab.parse_cone,
+             "set": cocyclelab.parse_set}[field]
+    with pytest.raises(errors.ConfigInvalid) as e:
+        parse(text)
+    assert e.value.field == field
+    argv = {"observable": ["trace", "--system", "iid-shift:gaussian:2", "--N", "5", "--obs"],
+            "cone": ["brownian", "--samples", "5", "--cone"],
+            "set": ["induce", *_WALK[:4], "--returns", "5", "--set"]}[field]
+    out = tmp_path / "o"
+    assert cli.main(argv + [text, "--jobs", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["flag", "environment", "config"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, entry):
+    # numpy refuses negative seeds; the run names the field instead
+    argv = {"flag": ["trace", "--system", "doubling", "--obs", "frac", "--N", "10",
+                     "--seed", "-1"],
+            "environment": ["brownian", "--cone", "halfspace:0,1", "--samples", "10"],
+            "config": ["trace", "--config", write_config(tmp_path, {
+                "system": {"kind": "doubling", "seed": -5}, "observable": "frac",
+                "parameters": {"N": 10}})]}[entry]
+    monkeypatch.setenv("COCYCLE_LAB_SEED", "-2")
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--jobs", "1", "--out", str(out)]) == 1
+    error = {"flag": "seed: -1", "environment": "seed: -2", "config": "system.seed: -5"}[entry]
+    assert capsys.readouterr().err == f"config error: {error} is not a whole number >= 0\n"
     assert not out.exists()
 
 
@@ -392,16 +438,33 @@ def test_sojourn_ball_pass_equals_per_horizon_frequency(law, d):
     system = {"kind": "iid-shift", "law": law, "d": d}
     N = 5000
     grid = sorted({int(n) for n in np.geomspace(1, N, 64)})
+    sysm = cocyclelab.parse_system(system)
+    obs = cocyclelab.parse_observable(f"iid({law}, d={d})")
+    cone = cocyclelab.parse_cone("halfspace:" + ",".join(["1"] + ["0"] * (d - 1)), d)
     for g in (None, grid):
-        payload = {"system": system, "observable": f"iid({law}, d={d})", "N": N,
-                   "cone": "halfspace:" + ",".join(["1"] + ["0"] * (d - 1)),
-                   "grid": g, "M": 20.0, "seed": 3}
-        ns, _, _, ball = cli._sojourn_task(payload)
-        sysm = cocyclelab.parse_system(system)
-        tr = cocyclelab.ergodic_sums(sysm, cocyclelab.parse_observable(payload["observable"]),
-                                     cocyclelab.sample_initial(sysm, 3), N)
+        ns, _, _, ball = cli._sojourn_task(sysm, obs, cone, N, g, 20.0, 3)
+        tr = cocyclelab.ergodic_sums(sysm, obs, cocyclelab.sample_initial(sysm, 3), N)
         ref = [cocyclelab.ball_visit_frequency(tr, int(n), 20.0) for n in ns]
         assert ball.tobytes() == np.array(ref).tobytes()
+
+
+def test_run_alone_writes_output_and_no_task_parses_a_spec():
+    # operations return their rows and fields; pooled tasks take parsed specs
+    users, tasks = {}, {}
+    for node in ast.parse(Path(cli.__file__).read_text()).body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else None
+        names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        for name in names:
+            users.setdefault(name, set()).add(owner)
+        if owner and owner.endswith("_task"):
+            tasks[owner] = names
+    for name in ("_write_csv", "_resolve_out", "_base_summary"):
+        assert users[name] == {"run"}, name
+    assert users["_write_summary"] == {"run", "_op_accept"}
+    assert set(tasks) == {"_dir_task", "_filling_task", "_sojourn_task"}
+    for name, refs in tasks.items():
+        assert not refs & {"parse_system", "parse_observable", "parse_cone"}, name
 
 
 # The CSV writer before it encoded rows in numpy, kept verbatim (with its

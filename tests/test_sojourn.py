@@ -231,9 +231,9 @@ def test_blocked_series_equals_the_series_before(law, d):
     for k, grid in enumerate(_GRIDS):
         M = (1.0, 10.0, 100.0)[k % 3]
         text = _CONES[d][k % len(_CONES[d])]
-        ns, taus, discs, ball = cli._sojourn_task({
-            "system": system, "observable": f"iid({law},d={d})", "N": tr.N,
-            "cone": text, "grid": grid, "M": M, "seed": 11 + d})
+        ns, taus, discs, ball = cli._sojourn_task(
+            cl.parse_system(system), cl.parse_observable(f"iid({law},d={d})"),
+            cl.parse_cone(text, d), tr.N, grid, M, 11 + d)
         want = sojourn_series_before(tr, cl.parse_cone(text, d), grid)
         assert (ns.tobytes(), taus.tobytes(), discs.tobytes()) == \
             (want.ns.tobytes(), want.tau.tobytes(), want.tau_disc.tobytes()), (text, grid)

@@ -34,7 +34,7 @@ from . import sojourn as so
 from . import systems as sy
 from .cones import BallWindow, parse_cone
 from .engine import ergodic_sums
-from .errors import CocycleLabError, ConfigInvalid
+from .errors import CocycleLabError, ConfigInvalid, _spec, _whole
 from .observables import parse_observable
 
 WRITE_ROWS = 1 << 14       # CSV rows encoded per write
@@ -138,19 +138,14 @@ def config_fingerprint(cfg: dict) -> str:
 
 
 def _system_from_string(text: str) -> dict:
-    parts = text.split(":")
-    kind = parts[0]
+    # "rotation:<alpha>", "iid-shift:<law>:<d>", "doubling" and "cat-map"
+    kind, values = _spec("system", text, {"rotation": (1, 1, 1), "iid-shift": (2, 2, 1),
+                                          "doubling": (0, 0, 0), "cat-map": (0, 0, 0)}, ":")
     if kind == "rotation":
-        if len(parts) != 2:
-            raise ConfigInvalid("system", "expected rotation:<alpha-token>")
-        return {"kind": "rotation", "alpha": parts[1]}
-    if kind in ("doubling", "cat-map"):
-        return {"kind": kind}
+        return {"kind": kind, "alpha": values[0]}
     if kind == "iid-shift":
-        if len(parts) != 3:
-            raise ConfigInvalid("system", "expected iid-shift:<law>:<d>")
-        return {"kind": "iid-shift", "law": parts[1], "d": int(parts[2])}
-    raise ConfigInvalid("system", f"unknown system kind {kind!r}")
+        return {"kind": kind, "law": values[0], "d": _whole("system", values[1], 1)}
+    return {"kind": kind}
 
 
 def _param(cfg: dict, name: str, default=None, required: bool = False):
@@ -268,9 +263,12 @@ def _resolve_out(cfg: dict, default_name: str):
 
 
 def _write_summary(path: str, payload: dict) -> None:
+    try:        # strict JSON (RFC 8259), checked before the file is opened
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise CocycleLabError(f"summary is not strict JSON: {e}") from None
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
 
 
 def _base_summary(cfg: dict, fp: str, **extra) -> dict:

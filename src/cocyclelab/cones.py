@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigInvalid, _whole
+from .errors import ConfigInvalid, _spec, _whole
 
 ROWS = 1 << 14          # segments per kernel block: temporaries stay in cache
 BAND = (2.0 ** -40, 2.0 ** 200)     # row scales taken as given (else moved, or not screened)
@@ -289,10 +289,8 @@ class Orthant(Cone):
 
     def __init__(self, signs):
         s = np.asarray(signs, dtype=np.float64)
-        if s.ndim != 1 or not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
-            raise ConfigInvalid("cone", "orthant signs must be -1, 0 or 1")
-        if not len(s):
-            raise ConfigInvalid("cone", "an orthant needs at least one sign")
+        if s.ndim != 1 or not len(s) or not np.all(np.isin(s, (-1.0, 0.0, 1.0))):
+            raise ConfigInvalid("cone", "an orthant needs one or more signs, each -1, 0 or 1")
         self.signs = s
         self.d = len(s)
         self._active = np.flatnonzero(s != 0.0)
@@ -445,37 +443,25 @@ class BallWindow:
 
 
 def parse_cone(text: str, d: int | None = None) -> Cone:
-    """Parse CLI cone strings.
+    """Parse CLI cone strings through `errors._spec`; every value is finite.
 
-    "halfspace:0,1" (normal), "orthant:1,-1,0" (signs),
-    "angular:u1,..,ud,ap" (axis then aperture), "full:d" (whole space);
-    a leading "!" takes the complement. Given d, a cone of another
-    dimension is rejected ("full:" alone takes d).
+    "halfspace:0,1" (normal) and "orthant:1,-1,0" (signs) take 1+ values,
+    "angular:u1,..,ud,ap" (axis then aperture) 3+, and "full:d" or "full:"
+    (whole space, of dimension d, else the given d or 2) 0 or 1; a leading
+    "!" takes the complement. Given d, a cone of another dimension is rejected.
     """
     if text.startswith("!"):
         return parse_cone(text[1:], d).complement()
-    kind, _, rest = text.partition(":")
-    cone = None
-    try:
-        nums = [float(v) for v in rest.split(",")] if rest else []
-        if not np.all(np.isfinite(nums)):
-            raise ConfigInvalid("cone", f"cone {text!r} has a number that is not finite")
-        if kind == "halfspace":
-            cone = HalfSpace(nums)
-        elif kind == "orthant":
-            cone = Orthant(nums)
-        elif kind == "angular":
-            if len(nums) < 3:
-                raise ConfigInvalid("cone", "angular needs d axis components + aperture")
-            cone = AngularCone(nums[:-1], nums[-1])
-        elif kind == "full":
-            cone = Orthant([0.0] * _whole("cone", nums[0] if nums else (d or 2), 1))
-    except ConfigInvalid:
-        raise
-    except (ValueError, TypeError):
-        pass
-    if cone is None:
-        raise ConfigInvalid("cone", f"cannot parse cone {text!r}")
+    kind, nums = _spec("cone", text, {"halfspace": (1, None, 0), "orthant": (1, None, 0),
+                                      "angular": (3, None, 0), "full": (0, 1, 0)})
+    if kind == "halfspace":
+        cone = HalfSpace(nums)
+    elif kind == "orthant":
+        cone = Orthant(nums)
+    elif kind == "angular":
+        cone = AngularCone(nums[:-1], nums[-1])
+    else:
+        cone = Orthant([0.0] * _whole("cone", nums[0] if nums else (d or 2), 1))
     if d is not None and cone.d != d:
         raise ConfigInvalid("cone", f"cone {text!r} has dimension {cone.d}, need {d}")
     return cone

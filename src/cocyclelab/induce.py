@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _sweep
-from .errors import CapExceeded, ConfigInvalid, _whole
+from .errors import CapExceeded, ConfigInvalid, _spec, _whole
 from .observables import ObservableSpec
 from .systems import (OrbitData, SystemSpec, SystemState, orbit_span, sample_initial,
                       state_at)
@@ -23,33 +23,33 @@ BLOCK = 8192
 
 @dataclass(frozen=True)
 class SetSpec:
-    """Membership-testable subset of the phase space with declared measure."""
+    """Membership-testable subset of the phase space; its measure follows from its kind."""
 
     kind: str                    # interval | rect | cylpos
     params: tuple = ()
-    measure: float | None = None
 
     def __post_init__(self):
         if self.kind == "interval":
             a, b = self.params
             if not (0.0 <= a < b <= 1.0):
                 raise ConfigInvalid("set", f"bad interval [{a},{b})")
-            if self.measure is None:
-                object.__setattr__(self, "measure", b - a)
         elif self.kind == "rect":
             a, b, c, e = self.params
             if not (0.0 <= a < b <= 1.0 and 0.0 <= c < e <= 1.0):
                 raise ConfigInvalid("set", f"bad rectangle {self.params}")
-            if self.measure is None:
-                object.__setattr__(self, "measure", (b - a) * (e - c))
         elif self.kind == "cylpos":
-            # {increment coordinate > 0}: measure 1/2 for the symmetric laws
             (coord,) = self.params
             object.__setattr__(self, "params", (_whole("set", coord, 0),))
-            if self.measure is None:
-                object.__setattr__(self, "measure", 0.5)
         else:
             raise ConfigInvalid("set", f"unknown set kind {self.kind!r}")
+
+    @property
+    def measure(self) -> float:
+        """b - a for [a, b), (b - a)(e - c) for a rectangle, 1/2 for a cylinder."""
+        p = self.params
+        if self.kind == "cylpos":
+            return 0.5              # {increment coordinate > 0} under the symmetric laws
+        return (p[1] - p[0]) * (p[3] - p[2] if self.kind == "rect" else 1.0)
 
     def validate_for(self, system: SystemSpec):
         if self.kind == "cylpos":
@@ -76,32 +76,24 @@ class SetSpec:
         return out
 
 
-def interval(a: float, b: float, measure: float | None = None) -> SetSpec:
-    return SetSpec("interval", (float(a), float(b)), measure)
+def interval(a: float, b: float) -> SetSpec:
+    return SetSpec("interval", (float(a), float(b)))
 
 
-def rect(a, b, c, e, measure: float | None = None) -> SetSpec:
-    return SetSpec("rect", (float(a), float(b), float(c), float(e)), measure)
+def rect(a, b, c, e) -> SetSpec:
+    return SetSpec("rect", (float(a), float(b), float(c), float(e)))
 
 
-def cylinder_positive(coord: int = 0, measure: float | None = None) -> SetSpec:
-    return SetSpec("cylpos", (coord,), measure)
+def cylinder_positive(coord: int = 0) -> SetSpec:
+    return SetSpec("cylpos", (coord,))
 
 
 def parse_set(text: str) -> SetSpec:
-    """Parse CLI set strings: "interval:0,0.5", "rect:0,.5,0,1", "cylpos:0"."""
-    try:
-        kind, _, rest = text.partition(":")
-        nums = [float(v) for v in rest.split(",")] if rest else []
-        if kind == "interval":
-            return interval(*nums)
-        if kind == "rect":
-            return rect(*nums)
-        if kind == "cylpos":
-            return cylinder_positive(nums[0] if nums else 0)
-    except (ValueError, TypeError):
-        pass
-    raise ConfigInvalid("set", f"cannot parse set {text!r}")
+    """Parse "interval:a,b", "rect:a,b,c,e" and "cylpos:i" or "cylpos" (i = 0)
+    through `errors._spec`: finite numbers, no measure (the kind gives it)."""
+    kind, nums = _spec("set", text, {"interval": (2, 2, 0), "rect": (4, 4, 0),
+                                     "cylpos": (0, 1, 0)})
+    return {"interval": interval, "rect": rect, "cylpos": cylinder_positive}[kind](*nums)
 
 
 @dataclass

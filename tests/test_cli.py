@@ -2,7 +2,9 @@
 
 import ast
 import copy
+import dataclasses
 import hashlib
+import inspect
 import json
 import pickle
 import subprocess
@@ -209,20 +211,58 @@ def test_numbers_in_cone_and_observable_strings_must_be_finite(tmp_path, capsys,
     ("observable", "iid(gaussian,d=2.5)"), ("observable", "iid(gaussian,d=0)"),
     ("observable", "iid(gaussian,d=-1)"), ("cone", "full:2.5"), ("cone", "full:0"),
     ("cone", "full:-1"), ("cone", "orthant:"), ("set", "cylpos:1.7"), ("set", "cylpos:-0.5"),
+    # every spec string takes its kind's count of finite values, and a kind
+    # with no values takes no suffix; a set's string takes no measure
+    ("system", "iid-shift:gaussian:2.5"), ("system", "iid-shift:gaussian:x"),
+    ("system", "doubling:7"), ("system", "cat-map:foo"), ("system", "doubling:"),
+    ("cone", "full:2,3"), ("set", "cylpos:1,5"), ("set", "interval:0,0.5,0.9"),
+    ("set", "rect:0,.5,0,1,0.3"), ("set", "interval:0,0.5,-3"),
+    ("set", "interval:0,0.5,nan"), ("set", "interval:0,0.5,0"),
 ])
 def test_spec_dimensions_and_coordinates_must_be_whole(tmp_path, capsys, field, text):
     parse = {"observable": cocyclelab.parse_observable, "cone": cocyclelab.parse_cone,
-             "set": cocyclelab.parse_set}[field]
+             "set": cocyclelab.parse_set, "system": cli._system_from_string}[field]
     with pytest.raises(errors.ConfigInvalid) as e:
         parse(text)
     assert e.value.field == field
     argv = {"observable": ["trace", "--system", "iid-shift:gaussian:2", "--N", "5", "--obs"],
             "cone": ["brownian", "--samples", "5", "--cone"],
-            "set": ["induce", *_WALK[:4], "--returns", "5", "--set"]}[field]
+            "set": ["induce", "--system", "rotation:golden", "--obs", "frac", "--returns", "5",
+                    "--cap", "100", "--set"],
+            "system": ["trace", "--obs", "frac", "--N", "5", "--system"]}[field]
     out = tmp_path / "o"
     assert cli.main(argv + [text, "--jobs", "1", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert not out.exists()
+
+
+def test_only_the_spec_reader_reads_spec_strings():
+    # the three spec parsers hand their string to errors._spec, and split
+    # or convert nothing themselves
+    for module, name in [("cones", "parse_cone"), ("induce", "parse_set"),
+                         ("cli", "_system_from_string")]:
+        tree = ast.parse(Path(cli.__file__).with_name(f"{module}.py").read_text())
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+        calls = {c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+                 for c in ast.walk(fn) if isinstance(c, ast.Call)
+                 and isinstance(c.func, (ast.Name, ast.Attribute))}
+        assert "_spec" in calls, name
+        assert not calls & {"split", "rsplit", "partition", "rpartition", "float", "int"}, name
+    # a set's measure follows from its kind: no field, no constructor parameter
+    assert "measure" not in {f.name for f in dataclasses.fields(cocyclelab.SetSpec)}
+    for make in (cocyclelab.interval, cocyclelab.rect, cocyclelab.cylinder_positive):
+        assert "measure" not in inspect.signature(make).parameters
+    assert cocyclelab.interval(0, 0.25).measure == 0.25
+    assert cocyclelab.rect(0, .5, 0, .5).measure == 0.25
+    assert cocyclelab.cylinder_positive(1).measure == 0.5
+
+
+def test_summary_that_is_not_strict_json_is_a_declared_error(tmp_path):
+    # summary.json is RFC 8259 JSON, which has no NaN: nothing is written
+    path = tmp_path / "summary.json"
+    with pytest.raises(errors.CocycleLabError, match="not strict JSON"):
+        cli._write_summary(str(path), {"measure": float("nan")})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("entry", ["flag", "environment", "config"])

@@ -25,7 +25,7 @@ from . import induce as ind
 from . import sojourn as so
 from . import systems as sy
 from .cones import HalfSpace, _norm, _true_norm
-from .engine import cocycle_identity_check, ergodic_sums
+from .engine import _sweep, cocycle_identity_check, ergodic_sums
 from .observables import (centered_indicator, coboundary_of, iid_increment,
                           parse_observable)
 
@@ -202,8 +202,7 @@ def _c9_full_coverage():
     full = 0
     cells_seen = []
     for s in range(n_seeds):
-        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N)
-        h = dr.hist_from_trace(tr, mesh, [M])
+        _, _, h = dr._scan_seed(system, obs, s, N, mesh, np.array([M]), None)
         k = int((h.counts[0] > 0).sum())
         cells_seen.append(k)
         full += k == mesh.K
@@ -220,11 +219,12 @@ def _c10_antipodal_coverage():
     N = 1_000_000
     n_seeds = 50
     terms = np.empty(n_seeds)
-    tops = np.empty((n_seeds, mesh.K))
+    tops = np.full((n_seeds, mesh.K), -np.inf)
     for s in range(n_seeds):
-        tr = ergodic_sums(system, obs, sy.sample_initial(system, s), N)
-        terms[s] = _true_norm(tr.values[-1])
-        tops[s] = dr.cell_max_norms(tr.values[1:], mesh)
+        # the maximum of the blocks' per-cell maxima is the per-cell maximum
+        for _, _, S in _sweep(system, obs, sy.sample_initial(system, s), N, 1):
+            np.maximum(tops[s], dr.cell_max_norms(S, mesh), out=tops[s])
+        terms[s] = _true_norm(S[-1])
     # the ladder needs every terminal norm; the per-cell maxima answer each rung
     ladder = dr.default_m_ladder(float(np.median(terms)))
     rates = np.zeros(len(ladder))

@@ -8,6 +8,8 @@ returns its rows and summary fields, and `run` writes them: the CSV,
 every row led by the seed and fingerprint that produced it, and
 summary.json beside it. Output bytes are a function of config + seed
 alone (summaries carry no timestamps), so identical runs diff clean.
+The seeds of directions, filling and sojourn run on up to --jobs threads
+(`directions._map`) that share the parsed specs; --jobs moves no byte.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 on declared
 runtime errors such as a return-time cap overflow.
@@ -33,7 +35,7 @@ from . import induce as ind
 from . import sojourn as so
 from . import systems as sy
 from .cones import BallWindow, parse_cone
-from .engine import ergodic_sums
+from .engine import _check, ergodic_sums
 from .errors import CocycleLabError, ConfigInvalid, _spec, _whole
 from .observables import parse_observable
 
@@ -285,14 +287,6 @@ def _base_summary(cfg: dict, fp: str, **extra) -> dict:
     return out
 
 
-def _map_tasks(fn, seeds: list, jobs: int) -> list:
-    if jobs <= 1 or len(seeds) <= 1:
-        return [fn(s) for s in seeds]
-    from concurrent.futures import ProcessPoolExecutor     # only a pooled run pays for it
-    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as ex:
-        return list(ex.map(fn, seeds))
-
-
 def _seed_list(cfg: dict) -> list:
     n = int(_param(cfg, "seeds", 1))
     if n < 1:
@@ -335,12 +329,9 @@ def _op_induce(cfg: dict):
         mean_return_time=float(it.return_times[-1]) / n_returns)
 
 
-def _dir_task(system, obs, N: int, thresholds: list, epsilon: float, seed: int):
-    tr = ergodic_sums(system, obs, sy.sample_initial(system, seed), N)
-    h = dr.hist_from_trace(tr, dr.make_mesh(obs.d), thresholds)
-    verdict = (dr.recurrence_diagnostic(tr, epsilon).verdict
-               if tr.N >= 1024 else "inconclusive")
-    return h, verdict
+def _dir_task(system, obs, N: int, mesh, ladder, epsilon: float, seed: int):
+    _, mins, h = dr._scan_seed(system, obs, seed, N, mesh, ladder, None)
+    return h, dr._verdict(mins, epsilon) if N >= 1024 else "inconclusive"
 
 
 def _cell_angles(mesh) -> np.ndarray:
@@ -367,12 +358,12 @@ def _op_directions(cfg: dict):
         thresholds = dr.default_m_ladder(float(np.sqrt(N))).tolist()
     thresholds = [float(t) for t in thresholds]
     mesh = dr.make_mesh(obs.d)
-    results = _map_tasks(functools.partial(_dir_task, system, obs, N, thresholds, epsilon),
-                         seeds, cfg["jobs"])
+    _check(system, obs, N)
+    ladder = dr._ladder(thresholds)
+    results = dr._map(_dir_task, [(system, obs, N, mesh, ladder, epsilon, s) for s in seeds],
+                      cfg["jobs"])
 
-    hist = dr.DirectionHistogram.empty(mesh, thresholds)
-    for h, _ in results:
-        hist = hist.merge(h)
+    hist = functools.reduce(dr.DirectionHistogram.merge, [h for h, _ in results])
     est = dr.direction_set_estimate(hist, quorum)
 
     angles = _cell_angles(mesh)
@@ -402,10 +393,9 @@ def _filling_task(system, obs, N: int, seed: int):
 def _op_filling(cfg: dict):
     N = int(_param(cfg, "N", required=True))
     seeds = _seed_list(cfg)
-    system, text = _require(cfg, "system"), _require(cfg, "observable")
-    obs = parse_observable(text)                 # checked before the system
-    results = _map_tasks(functools.partial(_filling_task, sy.parse_system(system), obs, N),
-                         seeds, cfg["jobs"])
+    system, obs = _require(cfg, "system"), parse_observable(_require(cfg, "observable"))
+    system = sy.parse_system(system)             # parsed after the observable
+    results = dr._map(_filling_task, [(system, obs, N, s) for s in seeds], cfg["jobs"])
     n = np.arange(1, N + 1)
     return ["n", "m_n", "residual"], [(s, [n, m, r]) for s, (m, r, _) in zip(seeds, results)], \
         dict(max_route_residual=float(max(r.max() for _, r, _ in results)),
@@ -432,8 +422,8 @@ def _op_sojourn(cfg: dict):
     obs = parse_observable(_require(cfg, "observable"))
     system = sy.parse_system(_require(cfg, "system"))
     cone = parse_cone(cone_text, obs.d)
-    results = _map_tasks(functools.partial(_sojourn_task, system, obs, cone, N, grid_list, M),
-                         seeds, cfg["jobs"])
+    results = dr._map(_sojourn_task, [(system, obs, cone, N, grid_list, M, s) for s in seeds],
+                      cfg["jobs"])
     hi = [float(t.max()) for _, t, _, _ in results]
     lo = [float(t.min()) for _, t, _, _ in results]
     return ["n", "tau", "tau_discrete", "ball_freq"], list(zip(seeds, results)), dict(

@@ -5,6 +5,9 @@ a ladder of norm thresholds M_1 < ... < M_m: cell k is counted at
 threshold M_i when some n has ||S_n|| > M_i and direction in cell k.
 Counts are nested across thresholds by construction. Histograms form a
 merge monoid so independent trajectories can be folded in any order.
+A seed's sweep folds block by block into its histogram and the minima of
+||S_n|| over dyadic windows, which label recurrence, with no trace kept;
+`_map` runs seeds side by side on threads, the package's one pool.
 
 The limit-direction estimate is the set of cells visited at the top
 threshold by at least a quorum q of the traces; (mesh, ladder, quorum)
@@ -28,7 +31,6 @@ from .cones import ROWS, _true_norm
 from .engine import BLOCK, CocycleTrace, _check, _sweep
 from .errors import ConfigInvalid
 from .observables import ObservableSpec
-from .sojourn import dyadic_grid
 from .systems import SystemSpec, sample_initial
 
 DEFAULT_ARCS = 72
@@ -276,18 +278,27 @@ def recurrence_diagnostic(trace: CocycleTrace, epsilon: float) -> RecurrenceRepo
     recurrent-like: a minimum <= epsilon within the last two windows;
     transient-like: minima strictly increasing over the last five.
     """
-    N = trace.N
-    if N < 1024:
+    if trace.N < 1024:
         raise ConfigInvalid("N", "recurrence diagnostic needs N >= 1024")
-    nrm = trace.norms
-    mins = np.array([nrm[lo:2 * lo].min() for lo in dyadic_grid(N)])
+    mins = np.full(int(trace.N).bit_length(), np.inf)
+    _fold_minima(mins, trace.norms[1:], 1)
+    return RecurrenceReport(mins, _verdict(mins, epsilon), epsilon)
+
+
+def _fold_minima(mins: np.ndarray, norms: np.ndarray, start: int) -> None:
+    # folds the norms of S_start, S_start+1, ... (start >= 1) into mins, the
+    # minimum of ||S_n|| over each dyadic window [lo, 2 lo); a NaN propagates as in .min()
+    stop = start + len(norms)
+    for i in range(start.bit_length() - 1, (stop - 1).bit_length()):
+        lo, hi = max(1 << i, start), min(2 << i, stop)
+        mins[i] = np.minimum(mins[i], norms[lo - start:hi - start].min())
+
+
+def _verdict(mins: np.ndarray, epsilon: float) -> str:
     if mins[-2:].min() <= epsilon:
-        verdict = "recurrent-like"
-    elif len(mins) >= 5 and np.all(np.diff(mins[-5:]) > 0.0):
-        verdict = "transient-like"
-    else:
-        verdict = "inconclusive"
-    return RecurrenceReport(mins, verdict, epsilon)
+        return "recurrent-like"
+    rising = len(mins) >= 5 and np.all(np.diff(mins[-5:]) > 0.0)
+    return "transient-like" if rising else "inconclusive"
 
 
 def antipodal_closure(mesh: SphereMesh, mask: np.ndarray) -> np.ndarray:
@@ -301,26 +312,26 @@ def antipodal_closure(mesh: SphereMesh, mask: np.ndarray) -> np.ndarray:
 def _scan_seed(system: SystemSpec, obs: ObservableSpec, seed, N: int, mesh: SphereMesh,
                ladder: np.ndarray | None, rows):
     # one seed's sweep folded block by block, with no trace kept. Without a
-    # ladder, rows is a compact pair with room for N rows, which the blocks'
-    # rows fill from its start; with one, each block's rows go into one
-    # block-sized pair and are counted into the seed's histogram at once.
-    # Returns the terminal norm ||S_N|| and the number of rows kept, or the
-    # histogram
+    # ladder, the blocks' rows fill rows, a compact pair with room for N rows;
+    # with one, each block's rows go into one block-sized pair and are counted
+    # at once. Returns ||S_N||, the dyadic-window minima (zero norms included)
+    # and the number of rows kept or the histogram
     if ladder is not None:
         rows = _compact(min(N, BLOCK), mesh)
         above = np.zeros((len(ladder) + 1, mesh.K), dtype=np.int64)
     cells, norms = rows
-    last, kept = np.zeros(obs.d), 0
-    for _, _, S in _sweep(system, obs, sample_initial(system, seed), N, 1):
-        c, r = _cells_and_norms(S, mesh, out=(cells[kept:], norms[kept:]))
+    block_norms, mins = np.empty(min(N, BLOCK)), np.full(int(N).bit_length(), np.inf)
+    term, kept = 0.0, 0
+    for done, _, S in _sweep(system, obs, sample_initial(system, seed), N, 1):
+        nrm = block_norms[:len(S)]
+        c, r = _cells_and_norms(S, mesh, out=(cells[kept:], norms[kept:]), fill=nrm)
+        _fold_minima(mins, nrm, done + 1)
         if ladder is None:
             kept += len(c)
         else:
             _count(above, c, r, ladder)
-        last = S[-1]
-    if ladder is None:
-        return _true_norm(last), kept
-    return _true_norm(last), _from_table(above, mesh, ladder, N)
+        term = nrm[-1]
+    return term, mins, kept if ladder is None else _from_table(above, mesh, ladder, N)
 
 
 def direction_scan(system: SystemSpec, obs: ObservableSpec, N: int, seeds,
@@ -329,8 +340,7 @@ def direction_scan(system: SystemSpec, obs: ObservableSpec, N: int, seeds,
     """End-to-end estimate over fresh trajectories, one sweep per seed.
 
     No trace is built: each seed's sums are folded block by block. Seeds
-    run side by side on min(len(seeds), os.cpu_count()) threads, each in a
-    copy of the caller's context (numpy's error state included), and are
+    run side by side on min(len(seeds), os.cpu_count()) threads and are
     merged in seed order, so the result does not depend on the worker
     count. Explicit thresholds count each block at once, in block-sized
     memory. When they are omitted, the ladder is scaled to the median
@@ -344,28 +354,33 @@ def direction_scan(system: SystemSpec, obs: ObservableSpec, N: int, seeds,
     _check(system, obs, N)
     mesh = mesh or make_mesh(obs.d)
     ladder = None if thresholds is None else _ladder(thresholds)
+    # taken here: rows taken in a worker thread stay in its malloc arena
     rows = [_compact(N, mesh) if ladder is None else None for _ in seeds]
-    from concurrent.futures import ThreadPoolExecutor   # here, so the CLI's import stays light
-    pool = ThreadPoolExecutor(max_workers=min(len(seeds), os.cpu_count() or 1))
-    try:
-        scans = _map(pool, _scan_seed, [(system, obs, s, N, mesh, ladder, r)
-                                        for s, r in zip(seeds, rows)])
-        terms = np.array([term for term, _ in scans])
-        if ladder is None:
-            ladder = default_m_ladder(float(np.median(terms)))
-            hists = _map(pool, _histogram, [(c[:k], n[:k], mesh, ladder, N)
-                                            for (c, n), (_, k) in zip(rows, scans)])
-        else:
-            hists = [h for _, h in scans]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    workers = os.cpu_count() or 1
+    scans = _map(_scan_seed, [(system, obs, s, N, mesh, ladder, r)
+                              for s, r in zip(seeds, rows)], workers)
+    terms = np.array([term for term, _, _ in scans])
+    if ladder is None:
+        ladder = default_m_ladder(float(np.median(terms)))
+        hists = _map(_histogram, [(c[:k], n[:k], mesh, ladder, N)
+                                  for (c, n), (_, _, k) in zip(rows, scans)], workers)
+    else:
+        hists = [h for _, _, h in scans]
     return direction_set_estimate(functools.reduce(DirectionHistogram.merge, hists),
                                   quorum), terms
 
 
-def _map(pool, fn, calls) -> list:
-    # fn(*args) for each args in calls, on the pool, each in its own copy of
-    # the caller's context (numpy's error state is a context variable);
-    # results in the order of calls
-    tasks = [pool.submit(contextvars.copy_context().run, fn, *args) for args in calls]
-    return [t.result() for t in tasks]
+def _map(fn, calls: list, workers: int) -> list:
+    # fn(*args) for each args in calls, results (or the first error) in call
+    # order: the package's one pool. In the caller for workers <= 1 or one call,
+    # else on up to `workers` threads, each call in its own copy of the caller's
+    # context (numpy's error state is a context variable)
+    if workers <= 1 or len(calls) <= 1:
+        return [fn(*args) for args in calls]
+    from concurrent.futures import ThreadPoolExecutor   # here, so the CLI's import stays light
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(calls)))
+    try:
+        tasks = [pool.submit(contextvars.copy_context().run, fn, *args) for args in calls]
+        return [t.result() for t in tasks]
+    finally:
+        pool.shutdown(cancel_futures=True)

@@ -20,9 +20,6 @@ class CapExceeded(CocycleLabError):
         self.cap = cap
         super().__init__(message or f"no return within cap={cap}")
 
-    def __reduce__(self):            # pickle through a process pool
-        return type(self), (self.cap, str(self))
-
 
 class MismatchError(CocycleLabError):
     """Two independent computations of the same quantity disagree."""
@@ -34,9 +31,6 @@ class ConfigInvalid(CocycleLabError):
     def __init__(self, field: str, message: str):
         self.field, self.message = field, message
         super().__init__(f"{field}: {message}")
-
-    def __reduce__(self):
-        return type(self), (self.field, self.message)
 
 
 def _whole(field: str, x, least: int) -> int:

@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +19,8 @@ from hypothesis import strategies as st
 
 import cocyclelab
 from cocyclelab import acceptance as acc
-from cocyclelab import cli, errors
+from cocyclelab import cli, engine, errors
+from cocyclelab import directions as dr
 
 
 def write_config(tmp_path, body, name="cfg.json"):
@@ -76,15 +76,18 @@ _POOLED = {
     "directions": ({"kind": "iid-shift", "law": "rademacher", "d": 2}, "iid(rademacher, d=2)",
                    {}),
     "filling": ({"kind": "rotation", "alpha": "golden"}, "indicator(0.0,0.5)-0.5", {}),
+    # past two digit-word marks, so the threads save and read one memo at once
+    "filling.doubling": ({"kind": "doubling"}, "indicator(0.0,0.5)-0.5", {"N": 20_000}),
     "sojourn": ({"kind": "iid-shift", "law": "gaussian", "d": 2}, "iid(gaussian, d=2)",
                 {"cone": "!angular:1,0,0.5"}),
 }
 
 
-@pytest.mark.parametrize("op", sorted(_POOLED))
-def test_parallel_jobs_do_not_change_output(tmp_path, op):
-    # the worker processes receive the parsed specs by pickle
-    system, obs, params = _POOLED[op]
+@pytest.mark.parametrize("case", sorted(_POOLED))
+def test_parallel_jobs_do_not_change_output(tmp_path, case):
+    # the threads share the parsed specs; each seed's output is its own
+    op = case.partition(".")[0]
+    system, obs, params = _POOLED[case]
     cfg = write_config(tmp_path, {"system": system, "observable": obs,
                                   "parameters": {"N": 2000, "seeds": 3, **params}})
     out1, out2 = tmp_path / "serial", tmp_path / "pooled"
@@ -292,18 +295,6 @@ def test_schema_rejects_unknown_fields(tmp_path, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("err", [
-    errors.ConfigInvalid("grid", "x"), errors.CapExceeded(5), errors.CapExceeded(7, "late"),
-    errors.NotInvertible("no"), errors.MismatchError("off"),
-], ids=["ConfigInvalid", "CapExceeded", "CapExceeded-message", "NotInvertible",
-        "MismatchError"])
-def test_errors_survive_pickling(err):
-    # a pooled task hands its error back to the parent by pickle
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is type(err)
-    assert str(back) == str(err) and vars(back) == vars(err)
-
-
 def test_config_error_in_a_pooled_task_is_a_config_error(tmp_path, capsys):
     code = cli.main(["sojourn", "--system", "iid-shift:gaussian:2", "--obs", "iid(gaussian,d=2)",
                      "--cone", "halfspace:0,1", "--N", "100", "--grid", "10,1000",
@@ -486,6 +477,85 @@ def test_sojourn_ball_pass_equals_per_horizon_frequency(law, d):
         tr = cocyclelab.ergodic_sums(sysm, obs, cocyclelab.sample_initial(sysm, 3), N)
         ref = [cocyclelab.ball_visit_frequency(tr, int(n), 20.0) for n in ns]
         assert ball.tobytes() == np.array(ref).tobytes()
+
+
+def named_modules(node, owner=None):
+    # (module, innermost enclosing function) of each import and string under node
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((a.name, owner) for a in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            yield child.module or "", owner
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield child.value, owner
+        yield from named_modules(child, child.name if isinstance(child, ast.FunctionDef)
+                                 else owner)
+
+
+def test_one_worker_pool():
+    # threads in directions._map run every pooled seed; nothing pickles a task
+    users = set()
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        text = path.read_text()
+        for word in ("ProcessPoolExecutor", "multiprocessing", "__reduce__"):
+            assert word not in text, (path.name, word)
+        users |= {(path.stem, owner) for name, owner in named_modules(ast.parse(text))
+                  if name.startswith("concurrent")}
+    assert users == {("directions", "_map")}
+
+
+def dir_task_on_traces(system, obs, N, mesh, ladder, epsilon, seed):
+    # the directions task on a trace per seed: the reference the fold must equal
+    tr = cocyclelab.ergodic_sums(system, obs, cocyclelab.sample_initial(system, seed), N)
+    h = dr.hist_from_trace(tr, mesh, ladder)
+    return h, dr.recurrence_diagnostic(tr, epsilon).verdict if N >= 1024 else "inconclusive"
+
+
+_FOLDED = {   # system, observable, the labels of seeds 0 to 2
+    "recurrent": ("rotation:golden", "cobdrift(h=sin2pi(frac),c=[0.0])",
+                  {"recurrent-like": 3}),
+    "transient": ("iid-shift:gaussian:2", "iid(gaussian,d=2)+[0.3,0.1]", {"transient-like": 3}),
+    # seed 1 returns to 0: a zero norm counts in the minima, not in the histogram
+    "returning": ("iid-shift:rademacher:2", "iid(rademacher, d=2)",
+                  {"inconclusive": 2, "transient-like": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLDED))
+def test_directions_fold_writes_the_bytes_of_traces(tmp_path, monkeypatch, case):
+    # past one 65536-step block, with no trace built
+    system, obs, labels = _FOLDED[case]
+    argv = ["directions", "--system", system, "--obs", obs, "--N", "70000", "--seeds", "3",
+            "--jobs", "1", "--out"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_dir_task", dir_task_on_traces)
+        assert cli.main(argv + [str(tmp_path / "traces")]) == 0
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("a trace was built")
+
+    monkeypatch.setattr(cli, "ergodic_sums", no_trace)
+    monkeypatch.setattr(engine, "ergodic_sums", no_trace)
+    assert cli.main(argv + [str(tmp_path / "fold")]) == 0
+    for name in ("directions.csv", "summary.json"):
+        assert (tmp_path / "fold" / name).read_bytes() == (tmp_path / "traces" / name).read_bytes()
+    assert json.loads((tmp_path / "fold" / "summary.json").read_text())["recurrence"] == labels
+
+
+def test_directions_task_memory_is_a_few_blocks():
+    # a trace of 2^20 steps and its norms take 24 MB; the fold holds a few blocks
+    N = 1 << 20
+    system = cocyclelab.iid_shift("rademacher", d=2)
+    obs = cocyclelab.iid_increment("rademacher", 2)
+    mesh, ladder = dr.make_mesh(2), dr.default_m_ladder(N ** 0.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._dir_task(system, obs, N, mesh, ladder, 0.5, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_run_alone_writes_output_and_no_task_parses_a_spec():

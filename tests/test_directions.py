@@ -193,6 +193,23 @@ def test_recurrence_verdicts():
         assert cl.recurrence_diagnostic(tr, 0.5).verdict == "recurrent-like"
 
 
+def test_scan_minima_are_the_trace_window_minima():
+    # the scan folds each block's norms into the windows it meets, past one
+    # block; seed 1 of this walk returns to 0, and a zero norm is a window's min
+    N = 70_000
+    sysm = cl.parse_system({"kind": "iid-shift", "law": "rademacher", "d": 2})
+    obs, mesh = cl.iid_increment("rademacher", 2), dr.make_mesh(2)
+    zeros = 0
+    for s in range(3):
+        tr = cl.ergodic_sums(sysm, obs, cl.sample_initial(sysm, s), N)
+        want = np.array([tr.norms[lo:2 * lo].min() for lo in cl.dyadic_grid(N)])
+        _, mins, _ = dr._scan_seed(sysm, obs, s, N, mesh, np.array([10.0]), None)
+        assert mins.tobytes() == want.tobytes()
+        assert dr.recurrence_diagnostic(tr, 0.5).window_minima.tobytes() == want.tobytes()
+        zeros += int((want == 0.0).sum())
+    assert zeros > 0
+
+
 def test_cauchy_walk_never_looks_recurrent():
     sysm = cl.iid_shift("cauchy", d=2, seed=5)
     obs = cl.iid_increment("cauchy", 2)
